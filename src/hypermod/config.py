@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .sampling import CardinalityDistribution
 from .genh import HParams
 from .geng import GParams, InterCommunityProfile
+from .experiments import embedded_h_params
 
 
 class ConfigError(Exception):
@@ -238,6 +239,41 @@ _EXPERIMENT_KEYS = {
 }
 
 
+def _check(ok, key, rule, value):
+    if not ok:
+        raise ConfigError(f"key {key!r}: must be {rule}, got {value}")
+
+
+def _validate_experiment(kind, o):
+    """Range checks of experiment options; each error names its key."""
+    if kind in ("fig1_bound_vs_detected", "g_vs_avin"):
+        _check(o["uniformity"] >= 1, "uniformity", ">= 1", o["uniformity"])
+        _check(o["communities"] >= 1, "communities", ">= 1", o["communities"])
+        _check(0.0 < o["p"] <= 1.0, "p", "in (0, 1]", o["p"])
+        _check(o["gamma"] >= 0.0, "gamma", ">= 0", o["gamma"])
+        _check(o["target_vertices"] >= 1, "target_vertices", ">= 1", o["target_vertices"])
+        for alpha in o["alphas"]:
+            _check(0.0 <= alpha <= 1.0, "alphas", "in [0, 1]", alpha)
+            # cross-community noise needs a pair of communities to land on
+            _check(alpha == 0.0 or o["communities"] >= 2, "alphas", "0 with one community", alpha)
+    elif kind in ("beta_sweep", "recurrence_check"):
+        if kind == "beta_sweep":
+            for gamma in o["gamma_values"]:
+                _check(gamma >= 0.0, "gamma_values", ">= 0", gamma)
+        else:
+            _check(o["gamma"] >= 0.0, "gamma", ">= 0", o["gamma"])
+            _check(o["k_max"] >= o["m"], "k_max", f">= m ({o['m']})", o["k_max"])
+        _check(o["m"] >= 1, "m", ">= 1", o["m"])
+        _check(o["steps"] >= 0, "steps", ">= 0", o["steps"])
+        _check(len(o["p_e"]) == len(o["x"]), "p_e", f"one entry per 'x' distribution ({len(o['x'])})",
+               o["p_e"])
+        # only the event probabilities are left for HParams.validate to reject
+        try:
+            embedded_h_params(o, 0.0).validate()
+        except ValueError as exc:
+            raise ConfigError(f"keys 'p_v', 'p_ve', 'p_e': {exc}") from None
+
+
 def parse_experiment_config(path):
     entries = read_entries(path)
     kind = _take(entries, "kind", str, required=True)
@@ -250,4 +286,5 @@ def parse_experiment_config(path):
     for key, (convert, default) in _EXPERIMENT_KEYS[kind].items():
         options[key] = _take(entries, key, convert, default=default)
     _reject_unknown(entries, f"experiment {kind}")
+    _validate_experiment(kind, options)
     return ExperimentSpec(kind=kind, replicas=replicas, options=options)

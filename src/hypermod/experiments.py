@@ -129,20 +129,26 @@ def g_vs_avin(options, replicas, seed):
     return header, rows
 
 
+def embedded_h_params(options, gamma):
+    """General-model parameters from the ``p_v``, ``p_ve``, ``p_e``, ``y``,
+    ``x``, ``m`` and ``steps`` options of an experiment."""
+    return HParams(
+        p_vertex=options["p_v"],
+        p_vertex_edge=options["p_ve"],
+        p_edge=list(options["p_e"]),
+        attach_size=options["y"],
+        edge_sizes=list(options["x"]),
+        edges_per_event=options["m"],
+        gamma=gamma,
+        steps=options["steps"],
+    )
+
+
 def beta_sweep(options, replicas, seed):
     header = ["gamma", "beta_theory", "beta_hat_mean", "beta_hat_sd"]
     rows = []
     for idx, gamma in enumerate(options["gamma_values"]):
-        params = HParams(
-            p_vertex=options["p_v"],
-            p_vertex_edge=options["p_ve"],
-            p_edge=list(options["p_e"]),
-            attach_size=options["y"],
-            edge_sizes=list(options["x"]),
-            edges_per_event=options["m"],
-            gamma=gamma,
-            steps=options["steps"],
-        )
+        params = embedded_h_params(options, gamma)
         theory = predict_beta_h(params).beta
         fits = []
         for rep in range(replicas):
@@ -172,16 +178,7 @@ def example_regressions(options, replicas, seed):
 
 def recurrence_check(options, replicas, seed):
     """Empirical per-vertex degree fractions against the exact recurrence."""
-    params = HParams(
-        p_vertex=options["p_v"],
-        p_vertex_edge=options["p_ve"],
-        p_edge=list(options["p_e"]),
-        attach_size=options["y"],
-        edge_sizes=list(options["x"]),
-        edges_per_event=options["m"],
-        gamma=options["gamma"],
-        steps=options["steps"],
-    )
+    params = embedded_h_params(options, options["gamma"])
     k_max = options["k_max"]
     table = degree_fraction_oracle(params, k_max)
     samples = [[] for _ in range(k_max + 1)]

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .hypergraph import Hypergraph
-from .sampling import CardinalityDistribution, PreferentialSelector, make_rng
+from .sampling import CardinalityDistribution, PreferentialSelector, cumulative, make_rng
 from .genh import HParams, checkpoint_times
 
 _SUM_TOL = 1e-6
@@ -53,14 +53,7 @@ class InterCommunityProfile:
             raise ValueError(f"profile probabilities sum to {total}, expected 1 within {_SUM_TOL}")
         self.entries = {k: v / total for k, v in sorted(cleaned.items())}
         self._keys = list(self.entries)
-        cum = []
-        acc = 0.0
-        for p in self.entries.values():
-            acc += p
-            cum.append(acc)
-        if cum:
-            cum[-1] = 1.0
-        self._cum = cum
+        self._cum = cumulative(self.entries.values())
 
     @property
     def max_set_size(self):
@@ -149,20 +142,10 @@ class GRunStats:
         self.community_records.append((t, list(sizes), list(degs)))
 
 
-def _membership_cumulative(membership):
-    cum = []
-    acc = 0.0
-    for m in membership:
-        acc += m
-        cum.append(acc)
-    cum[-1] = 1.0
-    return cum
-
-
 def g_step(g, params, selectors, rng, _cum=None):
     """Apply one step; returns ("vertex", j) or ("hyperedge", subset)."""
     if _cum is None:
-        _cum = _membership_cumulative(params.membership)
+        _cum = cumulative(params.membership)
     r = params.num_communities
     if rng.random() < params.p_vertex:
         j = 0 if r == 1 else bisect_right(_cum, rng.random())
@@ -202,7 +185,7 @@ def generate_g(params, seed):
     degs = [1] * r
     stats = GRunStats()
     stats.record(0, g, sizes, degs)
-    cum = _membership_cumulative(params.membership)
+    cum = cumulative(params.membership)
     marks = checkpoint_times(params.steps)
     for t in range(1, params.steps + 1):
         tag = g_step(g, params, selectors, rng, _cum=cum)

@@ -14,17 +14,6 @@ from .modularity import Partition, weighted_graph_modularity
 MIN_GAIN = 1e-9
 
 
-def _move_gain(w_to_target, vol_target, w_to_current, vol_current_rest, k_v, total):
-    """Modularity change of moving a vertex between two blocks.
-
-    ``vol_current_rest`` excludes the vertex itself; the vertex's own
-    self-weight cancels and is ignored.
-    """
-    gain_new = w_to_target / total - vol_target * k_v / (2.0 * total * total)
-    gain_old = w_to_current / total - vol_current_rest * k_v / (2.0 * total * total)
-    return gain_new - gain_old
-
-
 def _one_level(adj, k, total, order):
     """Greedy local moving; returns (block assignment, any move happened)."""
     n = len(adj)
@@ -64,17 +53,6 @@ def _one_level(adj, k, total, order):
                 vol[bv] += kv
         if moves == 0:
             return block, improved
-
-
-def _compact(block):
-    """Renumber block labels to 0..b-1 by first appearance."""
-    mapping = {}
-    out = []
-    for b in block:
-        if b not in mapping:
-            mapping[b] = len(mapping)
-        out.append(mapping[b])
-    return out, len(mapping)
 
 
 def _aggregate(adj, self_w, block, num_blocks):
@@ -122,11 +100,11 @@ def detect_communities(graph, seed=0, max_levels=32):
         order = list(range(len(adj)))
         rng.shuffle(order)
         block, improved = _one_level(adj, k, total, order)
-        block, num_blocks = _compact(block)
-        labels = [block[b] for b in labels]
-        if not improved or num_blocks == len(adj):
+        level = Partition(block).relabeled()
+        labels = [level.block_of[b] for b in labels]
+        if not improved or level.num_blocks == len(adj):
             break
-        adj, self_w, k = _aggregate(adj, self_w, block, num_blocks)
+        adj, self_w, k = _aggregate(adj, self_w, level.block_of, level.num_blocks)
 
     part = Partition(labels).relabeled()
     if weighted_graph_modularity(graph, part) < 0.0:

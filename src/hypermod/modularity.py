@@ -81,82 +81,76 @@ class CardinalityProfile:
         return max(self.a)
 
 
-def _zero_breakdown():
-    return ModularityBreakdown(0.0, 0.0, 0.0, [])
+def _cardinality_fractions(edges):
+    """(cardinality, fraction of hyperedges) pairs in increasing cardinality."""
+    ne = len(edges)
+    counts = Counter(len(e) for e in edges)
+    return [(ell, cnt / ne) for ell, cnt in sorted(counts.items())]
 
 
-def _block_volumes(h, part):
-    vol = [0.0] * part.num_blocks
-    degrees = h.degrees
-    for v, b in enumerate(part.block_of):
+def _strict_blocks(edges, degrees, block_of, num_blocks, card_fracs):
+    """Per-block (edge contribution, degree tax) pairs of the strict score.
+
+    Needs at least one hyperedge; ``card_fracs`` is
+    ``_cardinality_fractions(edges)``. A hyperedge is internal to block b
+    only when all of its members lie in b; block b pays
+    ``sum_l a_l * (vol_b / vol_total) ** l`` over the cardinality mix.
+    """
+    ne = len(edges)
+    vol_total = float(sum(degrees))
+    vol = [0.0] * num_blocks
+    for v, b in enumerate(block_of):
         vol[b] += degrees[v]
-    return vol
-
-
-def _internal_edge_counts(h, part):
-    counts = [0] * part.num_blocks
-    block_of = part.block_of
-    for e in h.edges:
+    internal = [0] * num_blocks
+    for e in edges:
         b = block_of[e[0]]
-        internal = True
         for v in e:
             if block_of[v] != b:
-                internal = False
                 break
-        if internal:
-            counts[b] += 1
-    return counts
-
-
-def graph_modularity_score(h, part):
-    """Score a 2-uniform hypergraph under the classic graph definition."""
-    if len(part) != h.num_vertices:
-        raise ValueError("partition size does not match the vertex count")
-    for e in h.edges:
-        if len(e) != 2:
-            raise ValueError(f"graph modularity needs 2-uniform input, found cardinality {len(e)}")
-    ne = h.num_edges
-    if ne == 0:
-        return _zero_breakdown()
-    vol = _block_volumes(h, part)
-    internal = _internal_edge_counts(h, part)
+        else:
+            internal[b] += 1
     per_block = []
+    for b in range(num_blocks):
+        frac = vol[b] / vol_total
+        tax = 0.0
+        for ell, a_ell in card_fracs:
+            tax += a_ell * frac ** ell
+        per_block.append((internal[b] / ne, tax))
+    return per_block
+
+
+def _breakdown(per_block):
     ec_total = 0.0
     tax_total = 0.0
-    for b in range(part.num_blocks):
-        ec = internal[b] / ne
-        tax = (vol[b] / (2.0 * ne)) ** 2
-        per_block.append((ec, tax))
+    for ec, tax in per_block:
         ec_total += ec
         tax_total += tax
     return ModularityBreakdown(ec_total, tax_total, ec_total - tax_total, per_block)
+
+
+def graph_modularity_score(h, part):
+    """Score a 2-uniform hypergraph under the classic graph definition.
+
+    This is the 2-uniform case of ``hypergraph_modularity_score``, whose
+    tax reduces to ``(vol/2|E|)^2``; other cardinalities are rejected.
+    """
+    for e in h.edges:
+        if len(e) != 2:
+            raise ValueError(f"graph modularity needs 2-uniform input, found cardinality {len(e)}")
+    return hypergraph_modularity_score(h, part)
 
 
 def hypergraph_modularity_score(h, part):
     """Score any hypergraph: edge contribution minus cardinality-weighted tax."""
     if len(part) != h.num_vertices:
         raise ValueError("partition size does not match the vertex count")
-    ne = h.num_edges
-    if ne == 0:
-        return _zero_breakdown()
-    vol = _block_volumes(h, part)
-    internal = _internal_edge_counts(h, part)
-    vol_total = float(h.degree_sum)
-    card_counts = Counter(len(e) for e in h.edges)
-    card_fracs = [(ell, cnt / ne) for ell, cnt in sorted(card_counts.items())]
-    per_block = []
-    ec_total = 0.0
-    tax_total = 0.0
-    for b in range(part.num_blocks):
-        ec = internal[b] / ne
-        frac = vol[b] / vol_total
-        tax = 0.0
-        for ell, a_ell in card_fracs:
-            tax += a_ell * frac ** ell
-        per_block.append((ec, tax))
-        ec_total += ec
-        tax_total += tax
-    return ModularityBreakdown(ec_total, tax_total, ec_total - tax_total, per_block)
+    if h.num_edges == 0:
+        return _breakdown([])
+    edges = h.edges
+    per_block = _strict_blocks(
+        edges, h.degrees, part.block_of, part.num_blocks, _cardinality_fractions(edges)
+    )
+    return _breakdown(per_block)
 
 
 def cardinality_profile(h):
@@ -164,9 +158,7 @@ def cardinality_profile(h):
     ne = h.num_edges
     if ne == 0:
         raise ValueError("cardinality profile needs at least one hyperedge")
-    counts = Counter(len(e) for e in h.edges)
-    a = {ell: cnt / ne for ell, cnt in sorted(counts.items())}
-    return CardinalityProfile(a, h.degree_sum / ne)
+    return CardinalityProfile(dict(_cardinality_fractions(h.edges)), h.degree_sum / ne)
 
 
 def _restricted_growth_strings(n):
@@ -188,48 +180,27 @@ def _restricted_growth_strings(n):
 
 
 def brute_force_modularity(h, max_vertices=12):
-    """Exact maximizer over every set partition of the vertices.
+    """A maximizer of the strict score over every set partition of the vertices.
 
     Exhaustive over Bell(n) partitions, so n is capped (Bell(12) is
-    about 4.2 million). Returns the best partition and its score.
+    about 4.2 million). Returns a maximizing partition and its score.
+    When several partitions share the exact optimum, floating-point
+    rounding decides which of them is returned.
     """
     n = h.num_vertices
     if n > max_vertices:
         raise ValueError(f"{n} vertices exceed the brute-force cap of {max_vertices}")
     if n == 0:
         return Partition([], 0), 0.0
-    ne = h.num_edges
-    if ne == 0:
+    if h.num_edges == 0:
         return Partition.one_block(n), 0.0
-    degrees = h.degrees
     edges = h.edges
-    vol_total = float(h.degree_sum)
-    card_fracs = [(ell, cnt / ne) for ell, cnt in sorted(Counter(len(e) for e in edges).items())]
+    degrees = h.degrees
+    card_fracs = _cardinality_fractions(edges)
     best_q = None
     best = None
-    vol = [0.0] * n
     for a in _restricted_growth_strings(n):
-        nb = max(a) + 1
-        for b in range(nb):
-            vol[b] = 0.0
-        for v in range(n):
-            vol[a[v]] += degrees[v]
-        ec = 0
-        for e in edges:
-            b = a[e[0]]
-            internal = True
-            for v in e:
-                if a[v] != b:
-                    internal = False
-                    break
-            if internal:
-                ec += 1
-        tax = 0.0
-        for b in range(nb):
-            frac = vol[b] / vol_total
-            for ell, a_ell in card_fracs:
-                tax += a_ell * frac ** ell
-        q = ec / ne - tax
+        q = _breakdown(_strict_blocks(edges, degrees, a, max(a) + 1, card_fracs)).score
         if best_q is None or q > best_q:
             best_q = q
             best = list(a)

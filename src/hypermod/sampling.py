@@ -14,11 +14,23 @@ import random
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
 
 def make_rng(seed):
     """Deterministic generator stream for one run."""
     return random.Random(seed)
+
+
+def cumulative(probs):
+    """Running sums of non-empty ``probs`` with the last pinned to 1.0.
+
+    ``bisect_right(cumulative(probs), u)`` maps a uniform u in [0, 1) to
+    an index drawn with the given probabilities.
+    """
+    cum = list(accumulate(probs))
+    cum[-1] = 1.0
+    return cum
 
 
 class CardinalityDistribution:
@@ -52,13 +64,7 @@ class CardinalityDistribution:
                 raise ValueError(f"categorical probabilities sum to {total}, expected 1")
             probs = [p / total for p in probs]
             self.params = {"values": list(values), "probs": probs}
-            cum = []
-            acc = 0.0
-            for p in probs:
-                acc += p
-                cum.append(acc)
-            cum[-1] = 1.0
-            self._cum = cum
+            self._cum = cumulative(probs)
         elif kind == "shifted_poisson":
             lam, shift = params["lam"], params["shift"]
             if lam < 0 or shift < 1:

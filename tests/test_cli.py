@@ -231,3 +231,19 @@ def test_experiment_fig1_csv_columns(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "alpha,lemma3_bound,detected_q2,planted_q2"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("text, key", [
+    ("kind: fig1_bound_vs_detected\ncommunities: 1\nalphas: 0.2\n", "alphas"),
+    ("kind: fig1_bound_vs_detected\np: 0\n", "p"),
+    ("kind: g_vs_avin\nalphas: 1.5\n", "alphas"),
+    ("kind: fig1_bound_vs_detected\nuniformity: 0\n", "uniformity"),
+    ("kind: recurrence_check\nk_max: 0\n", "k_max"),
+    ("kind: beta_sweep\n", "p_ve"),
+])
+def test_experiment_option_error_exit_code(tmp_path, capsys, text, key):
+    cfg = write(tmp_path, text, "exp.cfg")
+    assert run_cli(["experiment", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"'{key}'" in err

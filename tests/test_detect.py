@@ -16,7 +16,7 @@ from hypermod import (
 )
 from hypermod.experiments import uniform_block_params
 from hypermod.geng import generate_g
-from hypermod.louvain import _move_gain
+from hypermod.louvain import MIN_GAIN, _one_level
 
 
 def clique_hypergraph(cliques, extra_edges=()):
@@ -117,9 +117,10 @@ def test_deterministic_for_fixed_seed():
     assert a.block_of == b.block_of
 
 
-def test_move_gain_matches_definition():
+def test_one_level_leaves_no_improving_move():
     rng = random.Random(8)
-    for _ in range(40):
+    moves_checked = 0
+    for _ in range(120):
         n = rng.randint(4, 10)
         wg = WeightedGraph(n)
         for _ in range(rng.randint(3, 20)):
@@ -128,29 +129,24 @@ def test_move_gain_matches_definition():
                 wg.add_weight(u, v, rng.choice([1.0, 2.0, 0.5]))
         if not wg.weights:
             continue
-        total = wg.total_weight
-        deg = wg.weighted_degrees()
-        labels = [rng.randrange(3) for _ in range(n)]
-        v = rng.randrange(n)
-        target = rng.randrange(3)
-        if target == labels[v]:
-            continue
-        before = weighted_graph_modularity(wg, Partition(labels, 3))
-        moved = list(labels)
-        moved[v] = target
-        after = weighted_graph_modularity(wg, Partition(moved, 3))
-        w_to = {0: 0.0, 1: 0.0, 2: 0.0}
-        for (a, b), w in wg.weights.items():
-            if a == v:
-                w_to[labels[b]] += w
-            elif b == v:
-                w_to[labels[a]] += w
-        vol = [0.0, 0.0, 0.0]
-        for u in range(n):
-            vol[labels[u]] += deg[u]
-        gain = _move_gain(
-            w_to[target], vol[target],
-            w_to[labels[v]], vol[labels[v]] - deg[v],
-            deg[v], total,
-        )
-        assert gain == pytest.approx(after - before, abs=1e-12)
+        adj = [dict() for _ in range(n)]
+        for (u, v), w in wg.weights.items():
+            adj[u][v] = w
+            adj[v][u] = w
+        order = list(range(n))
+        rng.shuffle(order)
+        block, _ = _one_level(adj, [sum(d.values()) for d in adj], wg.total_weight, order)
+        part = Partition(block)
+        q = weighted_graph_modularity(wg, part)
+        assert q >= weighted_graph_modularity(wg, Partition.singletons(n))
+        # every single-vertex move, to an existing block or a fresh one
+        for v in range(n):
+            for target in range(part.num_blocks + 1):
+                if target == block[v]:
+                    continue
+                moved = list(block)
+                moved[v] = target
+                after = weighted_graph_modularity(wg, Partition(moved, part.num_blocks + 1))
+                assert after - q <= MIN_GAIN
+                moves_checked += 1
+    assert moves_checked > 1000

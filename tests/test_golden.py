@@ -1,0 +1,114 @@
+"""Golden fingerprints: SHA-256 of CLI stdout and of every written file.
+
+Small seeded runs cover both generators (gamma = 0 and > 0, m > 1,
+Poisson and categorical sizes, the cardinality cap, several communities
+with a cross-community profile) and the detect/score path on the `g`
+output. A changed hash means the output bytes changed for a fixed seed.
+"""
+
+import hashlib
+
+import pytest
+
+from hypermod.cli import run_cli
+
+H_GAMMA0 = """\
+model: h
+p_ve: 0.5
+p_e: 0.5
+y: categorical(2:0.5,3:0.5)
+x: categorical(2:0.3,4:0.7)
+m: 2
+steps: 300
+"""
+
+H_SMOOTHED_CAPPED = """\
+model: h
+p_v: 0.2
+p_ve: 0.3
+p_e: 0.3, 0.2
+y: shifted_poisson(1.5,2)
+x: shifted_poisson(2.0,1); categorical(1:0.2,3:0.8)
+gamma: 1.5
+cardinality_cap: on
+steps: 400
+"""
+
+G_THREE = """\
+model: g
+p: 0.35
+membership: 0.5, 0.3, 0.2
+x: constant(3); categorical(2:0.5,4:0.5); shifted_poisson(1.0,2)
+gamma: 1.0
+steps: 600
+0: 0.4
+1: 0.2
+2: 0.1
+0,1: 0.15
+0,2: 0.1
+0,1,2: 0.05
+"""
+
+# Each case: config text and the commands run in order. "{d}" is the
+# working directory; files named "out_*" are fingerprinted after the run.
+CASES = {
+    "h_gamma0": (H_GAMMA0, [
+        ["generate-h", "--config", "{d}/cfg", "--seed", "3",
+         "--out", "{d}/out_h.txt", "--stats", "{d}/out_stats.csv"],
+    ]),
+    "h_smoothed_capped": (H_SMOOTHED_CAPPED, [
+        ["generate-h", "--config", "{d}/cfg", "--seed", "7",
+         "--out", "{d}/out_h.txt", "--stats", "{d}/out_stats.csv"],
+    ]),
+    "g_detect_score": (G_THREE, [
+        ["generate-g", "--config", "{d}/cfg", "--seed", "5", "--out", "{d}/out_g.txt",
+         "--communities", "{d}/out_labels.tsv", "--stats", "{d}/out_stats.csv"],
+        ["detect", "--input", "{d}/out_g.txt", "--seed", "2", "--out", "{d}/out_part.tsv"],
+        ["modularity", "--input", "{d}/out_g.txt", "--partition", "{d}/out_part.tsv"],
+        ["modularity", "--input", "{d}/out_g.txt", "--partition", "{d}/out_labels.tsv"],
+    ]),
+}
+
+GOLDEN = {
+    "g_detect_score": {
+        "stdout_0": "afadbcdcb5a44c2aa4f6505a538e67ceee24e7a89d652ca2d7f397ed4b58d326",
+        "stdout_1": "96aa59009365fbe8090d3bd41373f4aa8fcadd3764b5d45f9daf5e5ec0c9dc85",
+        "stdout_2": "1b346bdc86edbcf97cf3a25c665dc9678a25efc85eed1ff096220f101eab9029",
+        "stdout_3": "207514c4be7e3525eada6b1842b56c475c60fe5218dd62a873a6ee5f83bc9eb7",
+        "out_g.txt": "553de47dba7346b2aed5f303dbc79402550620399e0109fca92825fc38374e31",
+        "out_labels.tsv": "31c8c5f49ae69bfbc9f771b283a5fe0ea4c2627718f861687232afade1f349ed",
+        "out_part.tsv": "5c3ce0e6c6b30e33282595e22cc9fa63ab91ad023ffc56cd9a658da8f4b1e806",
+        "out_stats.csv": "c95d0c1efb191970038e7642d2dc6740042274dc84e10499e70b24bf30807b90",
+    },
+    "h_gamma0": {
+        "stdout_0": "d011765acf2812afac10e9b70903c14a2c7e1b7fe731564bd706e031a022fd16",
+        "out_h.txt": "e37da40879e5a562ab89b1af63f901c46135f94deb47013576eef828c65c8906",
+        "out_stats.csv": "b8d4cebad6d82bdfd5a153cf892402b89b40863649f5211277b8d24d5abfb992",
+    },
+    "h_smoothed_capped": {
+        "stdout_0": "7b6645e11ec4b422685f8a90468ffba5625aec974ad70bcf9fff9802dad257dd",
+        "out_h.txt": "1cc1b9b34e778da28f6add8aa1cbbfab87c6f8e71d90880ae9980206258fb314",
+        "out_stats.csv": "070f682b2de7af3e77f446bc6d8aeae63eab47fd566fc4470c9ddcebe34a7bc0",
+    },
+}
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def fingerprints(case, tmp_path, capsys):
+    text, commands = CASES[case]
+    (tmp_path / "cfg").write_text(text)
+    out = {}
+    for i, argv in enumerate(commands):
+        assert run_cli([a.format(d=tmp_path) for a in argv]) == 0
+        out[f"stdout_{i}"] = _sha(capsys.readouterr().out.encode())
+    for path in sorted(tmp_path.glob("out_*")):
+        out[path.name] = _sha(path.read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_fingerprints(case, tmp_path, capsys):
+    assert fingerprints(case, tmp_path, capsys) == GOLDEN[case]
