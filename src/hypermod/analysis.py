@@ -272,7 +272,7 @@ def empirical_bound_inputs(h):
     within = [0] * r
     touch = [0] * r
     community = h.community
-    for e in h.edges:
+    for e in h.edge_members():
         seen = {community[v] for v in e}
         if len(seen) == 1:
             within[next(iter(seen))] += 1
@@ -282,7 +282,7 @@ def empirical_bound_inputs(h):
         p_within=[w / ne for w in within],
         s_touch=[t / ne for t in touch],
         profile=cardinality_profile(h),
-        max_cardinality=max(len(e) for e in h.edges),
+        max_cardinality=max(h.edge_sizes()),
         num_communities=r,
     )
 

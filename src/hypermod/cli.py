@@ -205,6 +205,17 @@ def _cmd_experiment(args):
     return 0
 
 
+def _steps(text):
+    """``--steps`` value: a non-negative integer."""
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if steps < 0:
+        raise argparse.ArgumentTypeError(f"steps must be >= 0, got {steps}")
+    return steps
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hypermod",
@@ -216,7 +227,7 @@ def build_parser():
     p = sub.add_parser("generate-h", help="run the general growth model")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_steps, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--stats", default=None)
     p.set_defaults(func=_cmd_generate_h)
@@ -224,7 +235,7 @@ def build_parser():
     p = sub.add_parser("generate-g", help="run the community-structured model")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_steps, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--communities", default=None)
     p.add_argument("--stats", default=None)

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .sampling import CardinalityDistribution
-from .genh import HParams
+from .genh import HParams, ParamError
 from .geng import GParams, InterCommunityProfile
 from .experiments import embedded_h_params
 
@@ -121,6 +121,29 @@ def _bool(text):
     raise ValueError("expected on/off")
 
 
+# parameter field -> the config key that sets it, per model
+_H_KEYS = {
+    "p_vertex": "p_v",
+    "p_vertex_edge": "p_ve",
+    "p_edge": "p_e",
+    "attach_size": "y",
+    "edge_sizes": "x",
+    "edges_per_event": "m",
+}
+_G_KEYS = {"p_vertex": "p", "edge_sizes": "x"}
+
+
+def _validated(params, keys):
+    """``params`` once valid; a ``ParamError`` becomes a ConfigError naming the keys."""
+    try:
+        params.validate()
+    except ParamError as exc:
+        names = ", ".join(repr(keys.get(f, f)) for f in exc.fields)
+        noun = "keys" if len(exc.fields) > 1 else "key"
+        raise ConfigError(f"{noun} {names}: {exc.rule}") from None
+    return params
+
+
 def _reject_unknown(entries, context):
     if entries:
         key = next(iter(entries))
@@ -160,11 +183,7 @@ def parse_h_params(entries):
         cap_sizes=_take(entries, "cardinality_cap", _bool, default=False),
     )
     _reject_unknown(entries, "general model")
-    try:
-        params.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return params
+    return _validated(params, _H_KEYS)
 
 
 def parse_g_params(entries):
@@ -179,11 +198,7 @@ def parse_g_params(entries):
         steps=_take(entries, "steps", int, default=0),
     )
     _reject_unknown(entries, "community model")
-    try:
-        params.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return params
+    return _validated(params, _G_KEYS)
 
 
 def parse_model_config(path):
@@ -263,15 +278,15 @@ def _validate_experiment(kind, o):
         else:
             _check(o["gamma"] >= 0.0, "gamma", ">= 0", o["gamma"])
             _check(o["k_max"] >= o["m"], "k_max", f">= m ({o['m']})", o["k_max"])
+            if o["p_v"] + o["p_ve"] <= 0:
+                raise ConfigError("keys 'p_v', 'p_ve': must not both be 0, "
+                                  "since degree fractions are per vertex")
         _check(o["m"] >= 1, "m", ">= 1", o["m"])
         _check(o["steps"] >= 0, "steps", ">= 0", o["steps"])
         _check(len(o["p_e"]) == len(o["x"]), "p_e", f"one entry per 'x' distribution ({len(o['x'])})",
                o["p_e"])
         # only the event probabilities are left for HParams.validate to reject
-        try:
-            embedded_h_params(o, 0.0).validate()
-        except ValueError as exc:
-            raise ConfigError(f"keys 'p_v', 'p_ve', 'p_e': {exc}") from None
+        _validated(embedded_h_params(o, 0.0), _H_KEYS)
 
 
 def parse_experiment_config(path):

@@ -14,15 +14,19 @@ from .modularity import Partition
 def write_hypergraph(h, path):
     with open(path, "w") as f:
         f.write(f"#vertices {h.num_vertices}\n")
-        for e in h.edges:
-            f.write(" ".join(str(v) for v in e))
+        for e in h.edge_members():
+            f.write(" ".join(map(str, sorted(e))))
             f.write("\n")
 
 
 def parse_hypergraph(path):
-    edges = []
+    """Read a hyperedge list, adding each line to the hypergraph as it is read.
+
+    Vertices are added as ids first need them; a ``#vertices`` header,
+    checked once the whole file is read, can add trailing isolated ones.
+    """
+    h = Hypergraph()
     declared = None
-    max_id = -1
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -39,21 +43,23 @@ def parse_hypergraph(path):
                 members = [int(tok) for tok in line.split()]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-integer vertex id in {line!r}") from None
-            if any(v < 0 for v in members):
+            if min(members) < 0:
                 raise ValueError(f"{path}:{lineno}: negative vertex id")
-            max_id = max(max_id, *members)
-            edges.append(members)
-    n = max_id + 1
+            _add_vertices(h, max(members) + 1)
+            h.add_hyperedge(members)
     if declared is not None:
-        if declared < n:
-            raise ValueError(f"{path}: header declares {declared} vertices but ids reach {max_id}")
-        n = declared
-    h = Hypergraph()
-    for _ in range(n):
-        h.add_vertex()
-    for members in edges:
-        h.add_hyperedge(members)
+        if declared < h.num_vertices:
+            raise ValueError(
+                f"{path}: header declares {declared} vertices but ids reach {h.num_vertices - 1}"
+            )
+        _add_vertices(h, declared)
     return h
+
+
+def _add_vertices(h, n):
+    """Grow ``h`` to at least ``n`` vertices."""
+    for _ in range(n - h.num_vertices):
+        h.add_vertex()
 
 
 def write_labels(labels, path):

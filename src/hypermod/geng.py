@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .hypergraph import Hypergraph
 from .sampling import CardinalityDistribution, PreferentialSelector, cumulative, make_rng
-from .genh import HParams, checkpoint_times
+from .genh import HParams, ParamError, checkpoint_times
 
 _SUM_TOL = 1e-6
 
@@ -102,26 +102,29 @@ class GParams:
         # p_vertex == 1 is allowed as a degenerate vertices-only process;
         # exponent predictions additionally require p_vertex < 1
         if not 0.0 < self.p_vertex <= 1.0:
-            raise ValueError(f"p_vertex must lie in (0, 1], got {self.p_vertex}")
+            raise ParamError(("p_vertex",), f"must lie in (0, 1], got {self.p_vertex}")
         r = len(self.membership)
         if r < 1:
-            raise ValueError("need at least one community")
+            raise ParamError(("membership",), "need at least one community")
         if any(m <= 0 for m in self.membership):
-            raise ValueError("membership probabilities must be positive")
+            raise ParamError(("membership",), "probabilities must be positive")
         total = sum(self.membership)
         if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"membership probabilities sum to {total}, expected 1")
+            raise ParamError(("membership",), f"probabilities sum to {total}, expected 1")
         self.membership = [m / total for m in self.membership]
         if self.profile.num_communities != r:
-            raise ValueError(
-                f"profile covers {self.profile.num_communities} communities, membership {r}"
+            raise ParamError(
+                ("profile", "membership"),
+                f"profile covers {self.profile.num_communities} communities, membership {r}",
             )
         if len(self.edge_sizes) != r:
-            raise ValueError(f"expected {r} size distributions, got {len(self.edge_sizes)}")
+            raise ParamError(
+                ("edge_sizes",), f"expected {r} size distributions, got {len(self.edge_sizes)}"
+            )
         if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+            raise ParamError(("gamma",), "must be non-negative")
         if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+            raise ParamError(("steps",), "must be >= 0")
 
     @property
     def num_communities(self):
@@ -137,9 +140,11 @@ class GRunStats:
     vertex_events: int = 0
     edge_events: int = 0
 
-    def record(self, t, g, sizes, degs):
+    def record(self, t, g, selectors):
         self.records.append((t, g.num_vertices, g.num_edges, g.degree_sum))
-        self.community_records.append((t, list(sizes), list(degs)))
+        self.community_records.append(
+            (t, [s.num_members for s in selectors], [s.degree_total for s in selectors])
+        )
 
 
 def g_step(g, params, selectors, rng, _cum=None):
@@ -181,25 +186,18 @@ def generate_g(params, seed):
         g.add_hyperedge([v])
         selectors[j].add_member(v)
         selectors[j].record_degree_increment(v)
-    sizes = [1] * r
-    degs = [1] * r
     stats = GRunStats()
-    stats.record(0, g, sizes, degs)
+    stats.record(0, g, selectors)
     cum = cumulative(params.membership)
     marks = checkpoint_times(params.steps)
     for t in range(1, params.steps + 1):
         tag = g_step(g, params, selectors, rng, _cum=cum)
         if tag[0] == "vertex":
             stats.vertex_events += 1
-            sizes[tag[1]] += 1
         else:
             stats.edge_events += 1
-            e = g.edges[-1]
-            community = g.community
-            for v in e:
-                degs[community[v]] += 1
         if t in marks:
-            stats.record(t, g, sizes, degs)
+            stats.record(t, g, selectors)
     return g, stats
 
 

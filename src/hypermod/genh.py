@@ -13,13 +13,22 @@ import math
 from dataclasses import dataclass, field
 
 from .hypergraph import Hypergraph
-from .sampling import CardinalityDistribution, PreferentialSelector, make_rng
+from .sampling import CardinalityDistribution, make_rng
 
 EVENT_VERTEX = "vertex"
 EVENT_VERTEX_EDGES = "vertex+edges"
 EVENT_NOTHING = "nothing"
 
 _PROB_TOL = 1e-9
+
+
+class ParamError(ValueError):
+    """An invalid generator parameter; ``fields`` names the parameters at fault."""
+
+    def __init__(self, fields, rule):
+        super().__init__(f"{', '.join(fields)}: {rule}")
+        self.fields = fields
+        self.rule = rule
 
 
 @dataclass
@@ -47,21 +56,26 @@ class HParams:
     cap_sizes: bool = False
 
     def validate(self):
-        if min(self.p_vertex, self.p_vertex_edge, 0.0) < 0 or any(p < 0 for p in self.p_edge):
-            raise ValueError("event probabilities must be non-negative")
+        for name, probs in (("p_vertex", [self.p_vertex]),
+                            ("p_vertex_edge", [self.p_vertex_edge]),
+                            ("p_edge", self.p_edge)):
+            if any(p < 0 for p in probs):
+                raise ParamError((name,), "must be non-negative")
         total = self.p_vertex + self.p_vertex_edge + sum(self.p_edge)
         if not (0.0 < total <= 1.0 + _PROB_TOL):
-            raise ValueError(f"event probabilities sum to {total}, expected a value in (0, 1]")
+            raise ParamError(("p_vertex", "p_vertex_edge", "p_edge"),
+                             f"event probabilities sum to {total}, expected a value in (0, 1]")
         if len(self.p_edge) != len(self.edge_sizes):
-            raise ValueError(
-                f"{len(self.p_edge)} edge probabilities but {len(self.edge_sizes)} size distributions"
+            raise ParamError(
+                ("p_edge", "edge_sizes"),
+                f"{len(self.p_edge)} probabilities but {len(self.edge_sizes)} size distributions",
             )
         if self.edges_per_event < 1:
-            raise ValueError("edges_per_event must be >= 1")
+            raise ParamError(("edges_per_event",), "must be >= 1")
         if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+            raise ParamError(("gamma",), "must be non-negative")
         if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+            raise ParamError(("steps",), "must be >= 0")
 
     @property
     def num_edge_distributions(self):
@@ -103,40 +117,57 @@ def sample_size(dist, t, cap_sizes, rng):
     return 1
 
 
-def h_step(h, params, sel, t, rng):
+def select_vertices(h, count, gamma, rng):
+    """Draw ``count`` vertices of ``h``, each with probability
+    ``(deg + gamma) / (D + gamma * n)``, independently and with repetition.
+
+    ``h.members`` holds every vertex once per unit of degree, so a
+    degree-proportional draw is a uniform slot of it; with ``gamma > 0`` a
+    first uniform chooses between that and a uniform vertex id. Needs
+    ``D >= 1``, which the initial hypergraph guarantees.
+    """
+    occ = h.members
+    d = len(occ)
+    random = rng.random
+    if gamma == 0.0:
+        return [occ[int(random() * d)] for _ in range(count)]
+    n = h.num_vertices
+    weight = d + gamma * n
+    return [
+        occ[int(random() * d)] if random() * weight < d else int(random() * n)
+        for _ in range(count)
+    ]
+
+
+def h_step(h, params, t, rng):
     """Apply one time step, returning the event tag.
 
     Tags are ``"vertex"``, ``"vertex+edges"``, ``"edges:<i>"`` and
-    ``"nothing"``. Selection state is frozen for the whole step; degree
-    increments are committed after all of the step's edges are drawn.
+    ``"nothing"``. All of the step's selections are drawn before any of
+    its vertices or edges is added, so they see the pre-step degrees.
     """
     u = rng.random()
     if u < params.p_vertex:
-        v = h.add_vertex()
-        sel.add_member(v)
+        h.add_vertex()
         return EVENT_VERTEX
     u -= params.p_vertex
     m = params.edges_per_event
+    gamma = params.gamma
     if u < params.p_vertex_edge:
         y = sample_size(params.attach_size, t, params.cap_sizes, rng)
-        new_edges = [sel.select_vertices(y - 1, rng) for _ in range(m)]
+        new_edges = [select_vertices(h, y - 1, gamma, rng) for _ in range(m)]
         v = h.add_vertex()
-        sel.add_member(v)
         for others in new_edges:
             others.append(v)
             h.add_hyperedge(others)
-            for w in others:
-                sel.record_degree_increment(w)
         return EVENT_VERTEX_EDGES
     u -= params.p_vertex_edge
     for i, p in enumerate(params.p_edge):
         if u < p:
             x = sample_size(params.edge_sizes[i], t, params.cap_sizes, rng)
-            new_edges = [sel.select_vertices(x, rng) for _ in range(m)]
+            new_edges = [select_vertices(h, x, gamma, rng) for _ in range(m)]
             for members in new_edges:
                 h.add_hyperedge(members)
-                for w in members:
-                    sel.record_degree_increment(w)
             return f"edges:{i}"
         u -= p
     return EVENT_NOTHING
@@ -159,14 +190,11 @@ def generate_h(params, seed):
     params.validate()
     rng = make_rng(seed)
     h = initial_hypergraph()
-    sel = PreferentialSelector(params.gamma)
-    sel.add_member(0)
-    sel.record_degree_increment(0)
     stats = HRunStats()
     stats.record(0, h, params.gamma)
     marks = checkpoint_times(params.steps)
     for t in range(1, params.steps + 1):
-        tag = h_step(h, params, sel, t, rng)
+        tag = h_step(h, params, t, rng)
         stats.count_event(tag)
         if t in marks:
             stats.record(t, h, params.gamma)

@@ -1,7 +1,10 @@
-"""Growable hypergraph with multiset hyperedges and cached degrees."""
+"""Growable hypergraph stored as one flat member array."""
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass
@@ -15,25 +18,67 @@ class DegreeHistogram:
 class Hypergraph:
     """Hypergraph whose hyperedges are unordered multisets of vertex ids.
 
-    Edges are stored as sorted tuples with repetitions, so a vertex may
-    appear several times in one edge and every appearance counts toward
-    its degree and toward the edge cardinality. Vertices are never
-    removed; ids are dense in ``0..num_vertices-1``.
+    The members of all hyperedges live in one ``array('q')``, ``members``,
+    in insertion order; hyperedge i is ``members[offsets[i]:offsets[i + 1]]``.
+    A vertex appears there once per unit of degree, so the array is also
+    the urn a degree-proportional draw picks from. A vertex may appear
+    several times in one edge and every appearance counts toward its
+    degree and toward the edge cardinality. Vertices are never removed;
+    ids are dense in ``0..num_vertices-1``.
 
-    ``degree_sum`` always equals the sum of edge cardinalities.
+    Everything else is derived: ``degree_sum`` and ``num_edges`` are
+    lengths, ``degrees`` is counted on demand and cached until the next
+    mutation, and ``edges`` is a list of sorted tuples built only when read
+    and then extended as edges arrive. Treat both as read-only.
     """
 
     def __init__(self, num_communities=None):
         self.num_vertices = 0
-        self.edges = []
-        self.degrees = []
-        self.degree_sum = 0
+        self.members = array("q")
+        self.offsets = array("q", [0])
         self.num_communities = num_communities
         self.community = [] if num_communities is not None else None
+        self._degrees = None
+        self._edges = []
 
     @property
     def num_edges(self):
-        return len(self.edges)
+        return len(self.offsets) - 1
+
+    @property
+    def degree_sum(self):
+        return len(self.members)
+
+    @property
+    def degrees(self):
+        """Degree of every vertex, as a list."""
+        if self._degrees is None:
+            occ = np.frombuffer(self.members, dtype=np.int64)
+            self._degrees = np.bincount(occ, minlength=self.num_vertices).tolist()
+        return self._degrees
+
+    @property
+    def edges(self):
+        """Hyperedges as sorted tuples, in insertion order."""
+        view = self._edges
+        if len(view) < self.num_edges:
+            members, offsets = self.members, self.offsets
+            view.extend(
+                tuple(sorted(members[offsets[i]:offsets[i + 1]]))
+                for i in range(len(view), self.num_edges)
+            )
+        return view
+
+    def edge_members(self):
+        """Iterate the hyperedges' members in insertion order, one array slice each."""
+        members, offsets = self.members, self.offsets
+        for i in range(len(offsets) - 1):
+            yield members[offsets[i]:offsets[i + 1]]
+
+    def edge_sizes(self):
+        """Cardinality of every hyperedge, in insertion order."""
+        offsets = self.offsets
+        return [offsets[i + 1] - offsets[i] for i in range(len(offsets) - 1)]
 
     def add_vertex(self, community=None):
         """Append a new isolated vertex, returning its id."""
@@ -47,24 +92,21 @@ class Hypergraph:
             self.community.append(community)
         elif community is not None:
             raise ValueError("hypergraph carries no community labels")
-        self.degrees.append(0)
+        self._degrees = None
         self.num_vertices += 1
         return self.num_vertices - 1
 
     def add_hyperedge(self, members):
-        """Add a hyperedge (multiset of vertex ids), returning its index."""
-        edge = tuple(sorted(members))
-        if not edge:
+        """Add a hyperedge (a non-empty sequence of vertex ids), returning its index."""
+        if not members:
             raise ValueError("hyperedge must be non-empty")
-        if edge[0] < 0 or edge[-1] >= self.num_vertices:
-            bad = edge[0] if edge[0] < 0 else edge[-1]
-            raise ValueError(f"invalid vertex id {bad}")
-        degrees = self.degrees
-        for v in edge:
-            degrees[v] += 1
-        self.degree_sum += len(edge)
-        self.edges.append(edge)
-        return len(self.edges) - 1
+        lo, hi = min(members), max(members)
+        if lo < 0 or hi >= self.num_vertices:
+            raise ValueError(f"invalid vertex id {lo if lo < 0 else hi}")
+        self.members.extend(members)
+        self.offsets.append(len(self.members))
+        self._degrees = None
+        return len(self.offsets) - 2
 
     def set_communities(self, labels, num_communities=None):
         """Attach one community label per vertex (used when loading from files)."""
@@ -84,9 +126,8 @@ class Hypergraph:
         return DegreeHistogram(dict(counts), self.num_vertices)
 
     def recomputed_degrees(self):
-        """Fresh degree count from the edge list, for validating the cache."""
+        """Fresh degree count from the member array, for validating ``degrees``."""
         deg = [0] * self.num_vertices
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
+        for v in self.members:
+            deg[v] += 1
         return deg

@@ -81,22 +81,22 @@ class CardinalityProfile:
         return max(self.a)
 
 
-def _cardinality_fractions(edges):
+def _cardinality_fractions(h):
     """(cardinality, fraction of hyperedges) pairs in increasing cardinality."""
-    ne = len(edges)
-    counts = Counter(len(e) for e in edges)
+    ne = h.num_edges
+    counts = Counter(h.edge_sizes())
     return [(ell, cnt / ne) for ell, cnt in sorted(counts.items())]
 
 
-def _strict_blocks(edges, degrees, block_of, num_blocks, card_fracs):
+def _strict_blocks(edges, ne, degrees, block_of, num_blocks, card_fracs):
     """Per-block (edge contribution, degree tax) pairs of the strict score.
 
-    Needs at least one hyperedge; ``card_fracs`` is
-    ``_cardinality_fractions(edges)``. A hyperedge is internal to block b
-    only when all of its members lie in b; block b pays
-    ``sum_l a_l * (vol_b / vol_total) ** l`` over the cardinality mix.
+    ``edges`` iterates the members of the ``ne >= 1`` hyperedges, in any
+    order within an edge; ``card_fracs`` is ``_cardinality_fractions(h)``.
+    A hyperedge is internal to block b only when all of its members lie
+    in b; block b pays ``sum_l a_l * (vol_b / vol_total) ** l`` over the
+    cardinality mix.
     """
-    ne = len(edges)
     vol_total = float(sum(degrees))
     vol = [0.0] * num_blocks
     for v, b in enumerate(block_of):
@@ -134,9 +134,9 @@ def graph_modularity_score(h, part):
     This is the 2-uniform case of ``hypergraph_modularity_score``, whose
     tax reduces to ``(vol/2|E|)^2``; other cardinalities are rejected.
     """
-    for e in h.edges:
-        if len(e) != 2:
-            raise ValueError(f"graph modularity needs 2-uniform input, found cardinality {len(e)}")
+    for size in h.edge_sizes():
+        if size != 2:
+            raise ValueError(f"graph modularity needs 2-uniform input, found cardinality {size}")
     return hypergraph_modularity_score(h, part)
 
 
@@ -146,9 +146,9 @@ def hypergraph_modularity_score(h, part):
         raise ValueError("partition size does not match the vertex count")
     if h.num_edges == 0:
         return _breakdown([])
-    edges = h.edges
     per_block = _strict_blocks(
-        edges, h.degrees, part.block_of, part.num_blocks, _cardinality_fractions(edges)
+        h.edge_members(), h.num_edges, h.degrees, part.block_of, part.num_blocks,
+        _cardinality_fractions(h),
     )
     return _breakdown(per_block)
 
@@ -158,7 +158,7 @@ def cardinality_profile(h):
     ne = h.num_edges
     if ne == 0:
         raise ValueError("cardinality profile needs at least one hyperedge")
-    return CardinalityProfile(dict(_cardinality_fractions(h.edges)), h.degree_sum / ne)
+    return CardinalityProfile(dict(_cardinality_fractions(h)), h.degree_sum / ne)
 
 
 def _restricted_growth_strings(n):
@@ -194,13 +194,14 @@ def brute_force_modularity(h, max_vertices=12):
         return Partition([], 0), 0.0
     if h.num_edges == 0:
         return Partition.one_block(n), 0.0
-    edges = h.edges
+    edges = list(h.edge_members())
+    ne = len(edges)
     degrees = h.degrees
-    card_fracs = _cardinality_fractions(edges)
+    card_fracs = _cardinality_fractions(h)
     best_q = None
     best = None
     for a in _restricted_growth_strings(n):
-        q = _breakdown(_strict_blocks(edges, degrees, a, max(a) + 1, card_fracs)).score
+        q = _breakdown(_strict_blocks(edges, ne, degrees, a, max(a) + 1, card_fracs)).score
         if best_q is None or q > best_q:
             best_q = q
             best = list(a)
@@ -246,7 +247,7 @@ def flatten(h):
     nothing on their own.
     """
     counts = Counter(
-        pair for e in h.edges for pair in combinations(sorted(set(e)), 2)
+        pair for e in h.edge_members() for pair in combinations(sorted(set(e)), 2)
     )
     wg = WeightedGraph(h.num_vertices)
     wg.weights = {pair: float(c) for pair, c in counts.items()}

@@ -161,7 +161,8 @@ class CardinalityDistribution:
 
 
 class PreferentialSelector:
-    """Degree-proportional vertex selection with additive smoothing.
+    """Degree-proportional vertex selection with additive smoothing, over a
+    subset of the vertices: the community model keeps one per community.
 
     Each member vertex u is drawn with probability
     ``(deg(u) + gamma) / (D + gamma * n)`` where D is the tracked degree
@@ -170,6 +171,10 @@ class PreferentialSelector:
     two-part mixture between a uniform occurrence (degree-proportional
     part) and a uniform member (smoothing part). Selection never mutates
     the selector, so all draws of one time step see the same state.
+
+    The general model needs no selector: its population is every vertex,
+    so ``Hypergraph.members`` already is the occurrence list
+    (``genh.select_vertices``).
     """
 
     def __init__(self, gamma):

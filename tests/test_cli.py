@@ -240,6 +240,7 @@ def test_experiment_fig1_csv_columns(tmp_path):
     ("kind: fig1_bound_vs_detected\nuniformity: 0\n", "uniformity"),
     ("kind: recurrence_check\nk_max: 0\n", "k_max"),
     ("kind: beta_sweep\n", "p_ve"),
+    ("kind: recurrence_check\np_v: 0\np_ve: 0\np_e: 1\n", "p_ve"),
 ])
 def test_experiment_option_error_exit_code(tmp_path, capsys, text, key):
     cfg = write(tmp_path, text, "exp.cfg")
@@ -247,3 +248,29 @@ def test_experiment_option_error_exit_code(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("model: h\np_v: 0.9\np_ve: 0.3\n", "p_ve"),
+    ("model: h\np_v: -0.1\np_ve: 0.5\n", "p_v"),
+    ("model: h\np_ve: 0.5\np_e: 0.1\n", "x"),
+    ("model: h\np_ve: 1\nm: 0\n", "m"),
+    ("model: g\np: 1.5\nmembership: 0.5,0.5\nx: constant(2); constant(2)\n0: 0.5\n1: 0.5\n", "p"),
+    ("model: g\np: 0.5\nmembership: 0.5,0.5\nx: constant(2)\n0: 0.5\n1: 0.5\n", "x"),
+])
+def test_model_config_error_names_key(tmp_path, capsys, text, key):
+    cfg = write(tmp_path, text, "model.cfg")
+    assert run_cli(["predict", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"'{key}'" in err
+    assert "p_vertex" not in err
+
+
+@pytest.mark.parametrize("command, config", [("generate-h", BA_CONFIG), ("generate-g", G_CONFIG)])
+def test_negative_steps_rejected_at_argument_parsing(tmp_path, capsys, command, config):
+    cfg = write(tmp_path, config, "model.cfg")
+    out = tmp_path / "out.txt"
+    assert run_cli([command, "--config", cfg, "--steps", "-1", "--out", str(out)]) == 2
+    assert "argument --steps: steps must be >= 0" in capsys.readouterr().err
+    assert not out.exists()

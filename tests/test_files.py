@@ -58,6 +58,28 @@ def test_header_below_max_id_rejected(tmp_path):
         parse_hypergraph(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n1 x\n", "{path}:2: non-integer vertex id in '1 x'"),
+    ("0 1\n2 -3\n", "{path}:2: negative vertex id"),
+    ("#vertices ten\n0 1\n", "{path}:1: malformed #vertices header"),
+    ("#vertices 2\n0 1\n0 5\n", "{path}: header declares 2 vertices but ids reach 5"),
+    ("0 1\n\n# note\n1 2.5\n", "{path}:4: non-integer vertex id in '1 2.5'"),
+], ids=["non_integer", "negative", "bad_header", "header_below_ids", "after_blank_line"])
+def test_malformed_hyperedge_file_errors(tmp_path, capsys, text, message):
+    from hypermod.cli import run_cli
+
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    expected = message.format(path=path)
+    with pytest.raises(ValueError) as info:
+        parse_hypergraph(path)
+    assert str(info.value) == expected
+    assert run_cli(["fit-powerlaw", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {expected}\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_roundtrip_preserves_structure(tmp_path):
     import random
 

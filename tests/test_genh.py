@@ -4,7 +4,17 @@ import pytest
 from scipy.stats import binom, chi2
 
 from hypermod import CardinalityDistribution, HParams, generate_h
-from hypermod.genh import checkpoint_times, h_step, initial_hypergraph
+from hypermod import genh
+from hypermod.genh import (
+    EVENT_NOTHING,
+    EVENT_VERTEX,
+    EVENT_VERTEX_EDGES,
+    HRunStats,
+    checkpoint_times,
+    h_step,
+    initial_hypergraph,
+    sample_size,
+)
 from hypermod.sampling import PreferentialSelector, make_rng
 
 CONST = CardinalityDistribution.constant
@@ -48,14 +58,11 @@ def test_attachment_edges_contain_the_new_vertex():
     params = HParams(0.1, 0.6, [0.3], CONST(3), [CONST(2)], edges_per_event=2,
                      gamma=1.0, steps=500)
     h = initial_hypergraph()
-    sel = PreferentialSelector(params.gamma)
-    sel.add_member(0)
-    sel.record_degree_increment(0)
     rng = make_rng(17)
     for t in range(1, params.steps + 1):
         before = h.num_edges
         n_before = h.num_vertices
-        tag = h_step(h, params, sel, t, rng)
+        tag = h_step(h, params, t, rng)
         if tag == "vertex+edges":
             new_vertex = h.num_vertices - 1
             added = h.edges[before:]
@@ -65,7 +72,6 @@ def test_attachment_edges_contain_the_new_vertex():
         elif tag == "vertex":
             assert h.num_vertices == n_before + 1 and h.num_edges == before
     assert h.degrees == h.recomputed_degrees()
-    assert len(sel.occurrences) == h.degree_sum
 
 
 def test_shared_cardinality_across_batch():
@@ -143,13 +149,10 @@ def test_cardinality_cap_rejects_large_sizes():
                      [CardinalityDistribution.uniform_int(1, 50)],
                      gamma=1.0, steps=300, cap_sizes=True)
     h = initial_hypergraph()
-    sel = PreferentialSelector(params.gamma)
-    sel.add_member(0)
-    sel.record_degree_increment(0)
     rng = make_rng(8)
     for t in range(1, params.steps + 1):
         before = h.num_edges
-        h_step(h, params, sel, t, rng)
+        h_step(h, params, t, rng)
         cap = max(2, math.ceil(t ** 0.25))
         for e in h.edges[before:]:
             assert len(e) < cap
@@ -212,3 +215,83 @@ def test_stats_weight_column_tracks_smoothing():
     _, stats = generate_h(params, seed=10)
     for t, v, e, d, w in stats.records:
         assert w == pytest.approx(d + 2.5 * v)
+
+
+def _reference_h_step(h, params, sel, t, rng):
+    """One step of the general process drawn through a ``PreferentialSelector``
+    that keeps its own occurrence list: the simple path ``h_step`` replaces."""
+    u = rng.random()
+    if u < params.p_vertex:
+        sel.add_member(h.add_vertex())
+        return EVENT_VERTEX
+    u -= params.p_vertex
+    m = params.edges_per_event
+    if u < params.p_vertex_edge:
+        y = sample_size(params.attach_size, t, params.cap_sizes, rng)
+        new_edges = [sel.select_vertices(y - 1, rng) for _ in range(m)]
+        v = h.add_vertex()
+        sel.add_member(v)
+        for others in new_edges:
+            others.append(v)
+            h.add_hyperedge(others)
+            for w in others:
+                sel.record_degree_increment(w)
+        return EVENT_VERTEX_EDGES
+    u -= params.p_vertex_edge
+    for i, p in enumerate(params.p_edge):
+        if u < p:
+            x = sample_size(params.edge_sizes[i], t, params.cap_sizes, rng)
+            new_edges = [sel.select_vertices(x, rng) for _ in range(m)]
+            for members in new_edges:
+                h.add_hyperedge(members)
+                for w in members:
+                    sel.record_degree_increment(w)
+            return f"edges:{i}"
+        u -= p
+    return EVENT_NOTHING
+
+
+def _reference_generate_h(params, seed):
+    rng = make_rng(seed)
+    h = initial_hypergraph()
+    sel = PreferentialSelector(params.gamma)
+    sel.add_member(0)
+    sel.record_degree_increment(0)
+    stats = HRunStats()
+    stats.record(0, h, params.gamma)
+    marks = checkpoint_times(params.steps)
+    for t in range(1, params.steps + 1):
+        stats.count_event(_reference_h_step(h, params, sel, t, rng))
+        if t in marks:
+            stats.record(t, h, params.gamma)
+    return h, stats, rng
+
+
+POISSON = CardinalityDistribution.shifted_poisson(1.5, 2)
+CATEGORICAL = CardinalityDistribution.categorical([2, 5], [0.7, 0.3])
+UNIFORM = CardinalityDistribution.uniform_int(1, 50)
+
+
+@pytest.mark.parametrize("params", [
+    ba_params(m=3, steps=3000),
+    HParams(0.2, 0.4, [0.4], CONST(3), [CONST(2)], edges_per_event=2, gamma=1.5, steps=3000),
+    HParams(0.2, 0.4, [0.4], POISSON, [CATEGORICAL], edges_per_event=2, gamma=1.0, steps=3000),
+    HParams(0.0, 0.5, [0.5], UNIFORM, [UNIFORM], gamma=1.0, steps=3000, cap_sizes=True),
+    HParams(0.1, 0.2, [0.2, 0.1], CONST(2), [POISSON, CONST(1)], edges_per_event=3,
+            gamma=0.5, steps=3000),
+], ids=["ba", "gamma", "poisson_categorical", "cap_sizes", "p_nothing"])
+def test_generate_h_matches_selector_reference(monkeypatch, params):
+    rngs = []
+
+    def recording_rng(seed):
+        rngs.append(make_rng(seed))
+        return rngs[-1]
+
+    monkeypatch.setattr(genh, "make_rng", recording_rng)
+    h, stats = generate_h(params, seed=21)
+    ref, ref_stats, ref_rng = _reference_generate_h(params, seed=21)
+    assert h.edges == ref.edges
+    assert h.degrees == ref.degrees
+    assert stats.records == ref_stats.records
+    assert stats.event_counts == ref_stats.event_counts
+    assert rngs[0].getstate() == ref_rng.getstate()
