@@ -8,10 +8,9 @@ modularity lower bounds, plus a CLI and experiment harness.
 
 from .hypergraph import DegreeHistogram, Hypergraph
 from .sampling import CardinalityDistribution, PreferentialSelector, make_rng
-from .genh import HParams, HRunStats, generate_h, h_step
+from .genh import HParams, RunStats, generate_h, h_step
 from .geng import (
     GParams,
-    GRunStats,
     InterCommunityProfile,
     community_marginals,
     g_step,
@@ -55,14 +54,13 @@ __all__ = [
     "DegreeFractionTable",
     "DegreeHistogram",
     "GParams",
-    "GRunStats",
     "HParams",
-    "HRunStats",
     "Hypergraph",
     "InterCommunityProfile",
     "ModularityBreakdown",
     "Partition",
     "PreferentialSelector",
+    "RunStats",
     "TailFit",
     "TheoryPrediction",
     "WeightedGraph",

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln, zeta
 
+from .genh import ParamError
 from .geng import community_marginals, reduce_community
 from .modularity import CardinalityProfile, cardinality_profile
 
@@ -100,9 +101,10 @@ def predict_beta_h(params):
     )
     denom = degree_rate - m * params.p_vertex_edge
     if denom <= 0:
-        raise ValueError(
+        raise ParamError(
+            ("p_vertex_edge", "p_edge", "attach_size", "edge_sizes"),
             "degenerate process: expected degree increments do not exceed "
-            "the new vertex's own attachment degree"
+            "the new vertex's own attachment degree",
         )
     gamma = params.gamma
     ratio = (degree_rate + gamma * vertex_rate) / denom
@@ -127,8 +129,12 @@ def degree_fraction_oracle(params, k_max):
     with D the prediction's tail ratio.
     """
     if k_max < params.edges_per_event:
-        raise ValueError("k_max must reach the attachment degree edges_per_event")
+        raise ParamError(("k_max", "edges_per_event"),
+                         f"k_max {k_max} is below the attachment degree {params.edges_per_event}")
     pred = predict_beta_h(params)
+    if pred.vertex_rate <= 0:
+        raise ParamError(("p_vertex", "p_vertex_edge"),
+                         "no vertices are ever added; per-vertex fractions undefined")
     d = pred.tail_ratio
     gamma = params.gamma
     m = params.edges_per_event
@@ -136,8 +142,6 @@ def degree_fraction_oracle(params, k_max):
     for k in range(1, k_max + 1):
         bump = params.p_vertex_edge * d if k == m else 0.0
         limits.append((limits[k - 1] * (k - 1 + gamma) + bump) / (k + gamma + d))
-    if pred.vertex_rate <= 0:
-        raise ValueError("no vertices are ever added; per-vertex fractions undefined")
     per_vertex = [x / pred.vertex_rate for x in limits]
     return DegreeFractionTable(limits, per_vertex)
 
@@ -151,13 +155,15 @@ def predict_beta_g(params):
     """
     params.validate()
     if params.p_vertex >= 1.0:
-        raise ValueError("exponent prediction needs p_vertex < 1 (hyperedges must occur)")
+        raise ParamError(("p_vertex",), "must be below 1 for an exponent prediction "
+                                        "(hyperedges must occur)")
     s = community_marginals(params.profile)
     betas = []
     for j in range(params.num_communities):
         if s[j] <= 0:
-            raise ValueError(
-                f"community {j} receives vertices but never hyperedges (touch probability 0)"
+            raise ParamError(
+                ("profile",),
+                f"community {j} receives vertices but never hyperedges (touch probability 0)",
             )
         betas.append(predict_beta_h(reduce_community(params, j)).beta)
     return min(betas), betas

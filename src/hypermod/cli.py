@@ -21,7 +21,7 @@ from .analysis import (
     predict_beta_g,
     predict_beta_h,
 )
-from .config import ConfigError, parse_experiment_config, parse_model_config
+from .config import ConfigError, config_keys, parse_experiment_config, parse_model_config
 from .experiments import run_experiment
 from .genh import HParams, generate_h
 from .geng import GParams, expected_cardinality_size_pmf, generate_g
@@ -40,10 +40,6 @@ def _print_kv(pairs, out=None):
         out.write(f"{key}: {files.format_value(value)}\n")
 
 
-def _stats_rows(stats):
-    return [(t, v, e, d, w) for (t, v, e, d, w) in stats.records]
-
-
 def _cmd_generate_h(args):
     params = parse_model_config(args.config)
     if not isinstance(params, HParams):
@@ -56,7 +52,7 @@ def _cmd_generate_h(args):
         files.write_csv(
             args.stats,
             ["t", "vertices", "edges", "degree_sum", "weight_sum"],
-            _stats_rows(stats),
+            stats.records,
         )
     _print_kv([
         ("vertices", h.num_vertices),
@@ -78,7 +74,7 @@ def _cmd_generate_g(args):
         files.write_labels(g.community, args.communities)
     if args.stats:
         rows = []
-        for (t, v, e, d), (_, sizes, degs) in zip(stats.records, stats.community_records):
+        for (t, v, e, d, _), (_, sizes, degs) in zip(stats.records, stats.community_records):
             rows.append((t, v, e, d, *sizes, *degs))
         r = params.num_communities
         header = ["t", "vertices", "edges", "degree_sum"]
@@ -140,7 +136,8 @@ def _cmd_fit_powerlaw(args):
 def _cmd_predict(args):
     params = parse_model_config(args.config)
     if isinstance(params, HParams):
-        pred = predict_beta_h(params)
+        with config_keys(params):
+            pred = predict_beta_h(params)
         _print_kv([
             ("beta", pred.beta),
             ("vertex_rate", pred.vertex_rate),
@@ -149,7 +146,8 @@ def _cmd_predict(args):
             ("amplitude", pred.amplitude),
         ])
     else:
-        beta, per_community = predict_beta_g(params)
+        with config_keys(params):
+            beta, per_community = predict_beta_g(params)
         pairs = [("beta", beta)]
         pairs += [(f"beta_{j}", b) for j, b in enumerate(per_community)]
         _print_kv(pairs)
@@ -190,7 +188,8 @@ def _cmd_oracle(args):
     params = parse_model_config(args.config)
     if not isinstance(params, HParams):
         raise ConfigError("oracle needs a 'model: h' config")
-    table = degree_fraction_oracle(params, args.kmax)
+    with config_keys(params):
+        table = degree_fraction_oracle(params, args.kmax)
     rows = [
         (k, table.limits[k], table.per_vertex[k])
         for k in range(args.kmax + 1)

@@ -9,6 +9,7 @@ semicolons, lists of numbers by commas. Unknown keys are hard errors.
 """
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .sampling import CardinalityDistribution
@@ -133,14 +134,22 @@ _H_KEYS = {
 _G_KEYS = {"p_vertex": "p", "edge_sizes": "x"}
 
 
-def _validated(params, keys):
-    """``params`` once valid; a ``ParamError`` becomes a ConfigError naming the keys."""
+@contextmanager
+def config_keys(params):
+    """Re-raise a ``ParamError`` about ``params`` as a ConfigError naming the
+    config keys of the fields at fault."""
     try:
-        params.validate()
+        yield
     except ParamError as exc:
+        keys = _H_KEYS if isinstance(params, HParams) else _G_KEYS
         names = ", ".join(repr(keys.get(f, f)) for f in exc.fields)
         noun = "keys" if len(exc.fields) > 1 else "key"
         raise ConfigError(f"{noun} {names}: {exc.rule}") from None
+
+
+def _validated(params):
+    with config_keys(params):
+        params.validate()
     return params
 
 
@@ -183,7 +192,7 @@ def parse_h_params(entries):
         cap_sizes=_take(entries, "cardinality_cap", _bool, default=False),
     )
     _reject_unknown(entries, "general model")
-    return _validated(params, _H_KEYS)
+    return _validated(params)
 
 
 def parse_g_params(entries):
@@ -198,7 +207,7 @@ def parse_g_params(entries):
         steps=_take(entries, "steps", int, default=0),
     )
     _reject_unknown(entries, "community model")
-    return _validated(params, _G_KEYS)
+    return _validated(params)
 
 
 def parse_model_config(path):
@@ -286,7 +295,7 @@ def _validate_experiment(kind, o):
         _check(len(o["p_e"]) == len(o["x"]), "p_e", f"one entry per 'x' distribution ({len(o['x'])})",
                o["p_e"])
         # only the event probabilities are left for HParams.validate to reject
-        _validated(embedded_h_params(o, 0.0), _H_KEYS)
+        _validated(embedded_h_params(o, 0.0))
 
 
 def parse_experiment_config(path):

@@ -11,11 +11,11 @@ process, which is what the per-community reduction below exposes.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .hypergraph import Hypergraph
 from .sampling import CardinalityDistribution, PreferentialSelector, cumulative, make_rng
-from .genh import HParams, ParamError, checkpoint_times
+from .genh import HParams, ParamError, RunStats, checkpoint_times
 
 _SUM_TOL = 1e-6
 
@@ -54,10 +54,6 @@ class InterCommunityProfile:
         self.entries = {k: v / total for k, v in sorted(cleaned.items())}
         self._keys = list(self.entries)
         self._cum = cumulative(self.entries.values())
-
-    @property
-    def max_set_size(self):
-        return max(len(k) for k in self.entries)
 
     def probability(self, subset):
         return self.entries.get(tuple(sorted(set(subset))), 0.0)
@@ -131,22 +127,6 @@ class GParams:
         return len(self.membership)
 
 
-@dataclass
-class GRunStats:
-    """Checkpoints (t, vertices, edges, degree_sum), per-community sizes and degrees."""
-
-    records: list = field(default_factory=list)
-    community_records: list = field(default_factory=list)
-    vertex_events: int = 0
-    edge_events: int = 0
-
-    def record(self, t, g, selectors):
-        self.records.append((t, g.num_vertices, g.num_edges, g.degree_sum))
-        self.community_records.append(
-            (t, [s.num_members for s in selectors], [s.degree_total for s in selectors])
-        )
-
-
 def g_step(g, params, selectors, rng, _cum=None):
     """Apply one step; returns ("vertex", j) or ("hyperedge", subset)."""
     if _cum is None:
@@ -158,15 +138,15 @@ def g_step(g, params, selectors, rng, _cum=None):
         selectors[j].add_member(v)
         return ("vertex", j)
     subset = params.profile.sample(rng)
-    members = []
+    chunks = []
     for c in subset:
         slot = 0 if r == 1 else int(rng.random() * r)
         count = params.edge_sizes[slot].sample(rng)
-        members.extend(selectors[c].select_vertices(count, rng))
-    g.add_hyperedge(members)
-    community = g.community
-    for v in members:
-        selectors[community[v]].record_degree_increment(v)
+        chunks.append(selectors[c].select_vertices(count, rng))
+    g.add_hyperedge([v for chunk in chunks for v in chunk])
+    # each chunk was drawn from its own community's urn
+    for c, chunk in zip(subset, chunks):
+        selectors[c].record_degree_increment(chunk)
     return ("hyperedge", subset)
 
 
@@ -185,19 +165,15 @@ def generate_g(params, seed):
         v = g.add_vertex(community=j)
         g.add_hyperedge([v])
         selectors[j].add_member(v)
-        selectors[j].record_degree_increment(v)
-    stats = GRunStats()
-    stats.record(0, g, selectors)
+        selectors[j].record_degree_increment([v])
+    stats = RunStats()
+    stats.record(0, g, params.gamma, selectors)
     cum = cumulative(params.membership)
     marks = checkpoint_times(params.steps)
     for t in range(1, params.steps + 1):
-        tag = g_step(g, params, selectors, rng, _cum=cum)
-        if tag[0] == "vertex":
-            stats.vertex_events += 1
-        else:
-            stats.edge_events += 1
+        stats.count_event(g_step(g, params, selectors, rng, _cum=cum)[0])
         if t in marks:
-            stats.record(t, g, selectors)
+            stats.record(t, g, params.gamma, selectors)
     return g, stats
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .hypergraph import Hypergraph
-from .sampling import CardinalityDistribution, make_rng
+from .sampling import CardinalityDistribution, make_rng, select_vertices
 
 EVENT_VERTEX = "vertex"
 EVENT_VERTEX_EDGES = "vertex+edges"
@@ -77,21 +77,29 @@ class HParams:
         if self.steps < 0:
             raise ParamError(("steps",), "must be >= 0")
 
-    @property
-    def num_edge_distributions(self):
-        return len(self.p_edge)
-
 
 @dataclass
-class HRunStats:
-    """Checkpointed run trajectory: (t, vertices, edges, degree_sum, weight_sum)."""
+class RunStats:
+    """Checkpointed trajectory of a run of either generator.
+
+    ``records`` holds (t, vertices, edges, degree_sum, weight_sum) tuples,
+    weight_sum being the selection law's normalizer ``D + gamma * n``;
+    ``event_counts`` counts the step tags; ``community_records`` holds
+    (t, member counts, degree totals) of the community urns and is filled
+    only when ``record`` is given them.
+    """
 
     records: list = field(default_factory=list)
     event_counts: dict = field(default_factory=dict)
+    community_records: list = field(default_factory=list)
 
-    def record(self, t, h, gamma):
+    def record(self, t, h, gamma, selectors=None):
         w = h.degree_sum + gamma * h.num_vertices
         self.records.append((t, h.num_vertices, h.num_edges, h.degree_sum, w))
+        if selectors is not None:
+            self.community_records.append(
+                (t, [s.num_members for s in selectors], [s.degree_total for s in selectors])
+            )
 
     def count_event(self, tag):
         self.event_counts[tag] = self.event_counts.get(tag, 0) + 1
@@ -117,28 +125,6 @@ def sample_size(dist, t, cap_sizes, rng):
     return 1
 
 
-def select_vertices(h, count, gamma, rng):
-    """Draw ``count`` vertices of ``h``, each with probability
-    ``(deg + gamma) / (D + gamma * n)``, independently and with repetition.
-
-    ``h.members`` holds every vertex once per unit of degree, so a
-    degree-proportional draw is a uniform slot of it; with ``gamma > 0`` a
-    first uniform chooses between that and a uniform vertex id. Needs
-    ``D >= 1``, which the initial hypergraph guarantees.
-    """
-    occ = h.members
-    d = len(occ)
-    random = rng.random
-    if gamma == 0.0:
-        return [occ[int(random() * d)] for _ in range(count)]
-    n = h.num_vertices
-    weight = d + gamma * n
-    return [
-        occ[int(random() * d)] if random() * weight < d else int(random() * n)
-        for _ in range(count)
-    ]
-
-
 def h_step(h, params, t, rng):
     """Apply one time step, returning the event tag.
 
@@ -153,9 +139,10 @@ def h_step(h, params, t, rng):
     u -= params.p_vertex
     m = params.edges_per_event
     gamma = params.gamma
+    occ, pool = h.members, range(h.num_vertices)
     if u < params.p_vertex_edge:
         y = sample_size(params.attach_size, t, params.cap_sizes, rng)
-        new_edges = [select_vertices(h, y - 1, gamma, rng) for _ in range(m)]
+        new_edges = [select_vertices(occ, pool, y - 1, gamma, rng) for _ in range(m)]
         v = h.add_vertex()
         for others in new_edges:
             others.append(v)
@@ -165,7 +152,7 @@ def h_step(h, params, t, rng):
     for i, p in enumerate(params.p_edge):
         if u < p:
             x = sample_size(params.edge_sizes[i], t, params.cap_sizes, rng)
-            new_edges = [select_vertices(h, x, gamma, rng) for _ in range(m)]
+            new_edges = [select_vertices(occ, pool, x, gamma, rng) for _ in range(m)]
             for members in new_edges:
                 h.add_hyperedge(members)
             return f"edges:{i}"
@@ -190,7 +177,7 @@ def generate_h(params, seed):
     params.validate()
     rng = make_rng(seed)
     h = initial_hypergraph()
-    stats = HRunStats()
+    stats = RunStats()
     stats.record(0, h, params.gamma)
     marks = checkpoint_times(params.steps)
     for t in range(1, params.steps + 1):

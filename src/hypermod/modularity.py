@@ -227,13 +227,6 @@ class WeightedGraph:
     def total_weight(self):
         return sum(self.weights.values())
 
-    def weighted_degrees(self):
-        deg = [0.0] * self.num_vertices
-        for (u, v), w in self.weights.items():
-            deg[u] += w
-            deg[v] += w
-        return deg
-
     def edge_list(self):
         """Deterministically ordered (u, v, weight) triples."""
         return [(u, v, w) for (u, v), w in sorted(self.weights.items())]

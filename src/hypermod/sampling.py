@@ -160,21 +160,38 @@ class CardinalityDistribution:
         return f"CardinalityDistribution.{self.kind}({inner})"
 
 
+def select_vertices(occ, pool, count, gamma, rng):
+    """Draw ``count`` vertices independently and with repetition, each vertex
+    v of ``pool`` with probability ``(deg(v) + gamma) / (D + gamma * n)``.
+
+    This is the selection law of both generators. ``occ`` holds every
+    vertex of the population once per unit of degree (D = len(occ)), so a
+    degree-proportional draw is a uniform slot of it; ``pool`` holds the n
+    vertices once each. With ``gamma > 0`` a first uniform chooses between
+    the two, and the smoothing draw is a uniform slot of ``pool``. Needs
+    ``D >= 1`` when ``gamma == 0`` and ``n >= 1`` otherwise.
+    """
+    d = len(occ)
+    random = rng.random
+    if gamma == 0.0:
+        return [occ[int(random() * d)] for _ in range(count)]
+    n = len(pool)
+    weight = d + gamma * n
+    return [
+        occ[int(random() * d)] if random() * weight < d else pool[int(random() * n)]
+        for _ in range(count)
+    ]
+
+
 class PreferentialSelector:
-    """Degree-proportional vertex selection with additive smoothing, over a
-    subset of the vertices: the community model keeps one per community.
+    """One community's urn in the community model: its members, and an
+    occurrence array in which each member appears once per unit of degree.
 
-    Each member vertex u is drawn with probability
-    ``(deg(u) + gamma) / (D + gamma * n)`` where D is the tracked degree
-    total and n the member count. The selector keeps a flat occurrence
-    list in which a vertex appears once per unit of degree; a draw is a
-    two-part mixture between a uniform occurrence (degree-proportional
-    part) and a uniform member (smoothing part). Selection never mutates
-    the selector, so all draws of one time step see the same state.
-
-    The general model needs no selector: its population is every vertex,
-    so ``Hypergraph.members`` already is the occurrence list
-    (``genh.select_vertices``).
+    ``select_vertices`` draws through the shared ``select_vertices``
+    function with ``(occurrences, members)``, so each community grows
+    under the same law as the general model, which passes
+    ``(Hypergraph.members, range(num_vertices))``. Selection never mutates
+    the urn, so all draws of one time step see the same state.
     """
 
     def __init__(self, gamma):
@@ -183,7 +200,6 @@ class PreferentialSelector:
         self.gamma = gamma
         self.occurrences = array("q")
         self.members = []
-        self._member_set = set()
 
     @property
     def num_members(self):
@@ -193,47 +209,25 @@ class PreferentialSelector:
     def degree_total(self):
         return len(self.occurrences)
 
-    @property
-    def weight_total(self):
-        """Normalizing constant D + gamma * n of the selection law."""
-        return len(self.occurrences) + self.gamma * len(self.members)
-
     def add_member(self, v):
-        if v in self._member_set:
-            raise ValueError(f"vertex {v} already tracked")
         self.members.append(v)
-        self._member_set.add(v)
 
-    def record_degree_increment(self, v):
-        if v not in self._member_set:
-            raise ValueError(f"vertex {v} is not tracked by this selector")
-        self.occurrences.append(v)
-
-    def select_one(self, rng):
-        members = self.members
-        n = len(members)
-        if n == 0:
-            raise ValueError("cannot select from an empty population")
-        occ = self.occurrences
-        d = len(occ)
-        if self.gamma == 0.0:
-            if d == 0:
-                raise ValueError("gamma=0 selection undefined when all degrees are 0")
-            return occ[int(rng.random() * d)]
-        if rng.random() * (d + self.gamma * n) < d:
-            return occ[int(rng.random() * d)]
-        return members[int(rng.random() * n)]
+    def record_degree_increment(self, vertices):
+        """Add one unit of degree to each of ``vertices``, all of them members."""
+        self.occurrences.extend(vertices)
 
     def select_vertices(self, count, rng):
-        """Draw ``count`` independent vertices (repetitions allowed)."""
+        """Draw ``count`` members independently (repetitions allowed)."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        select_one = self.select_one
-        return [select_one(rng) for _ in range(count)]
+        if not self.members:
+            raise ValueError("cannot select from an empty population")
+        if self.gamma == 0.0 and not self.occurrences:
+            raise ValueError("gamma=0 selection undefined when all degrees are 0")
+        return select_vertices(self.occurrences, self.members, count, self.gamma, rng)
 
     def marginals(self):
         """Exact selection probability of every member, for verification."""
-        n = len(self.members)
-        total = self.weight_total
+        total = len(self.occurrences) + self.gamma * len(self.members)
         deg = Counter(self.occurrences)
         return {v: (deg.get(v, 0) + self.gamma) / total for v in self.members}

@@ -267,6 +267,30 @@ def test_model_config_error_names_key(tmp_path, capsys, text, key):
     assert "p_vertex" not in err
 
 
+@pytest.mark.parametrize("args, text, keys", [
+    (["predict"], "model: h\np_ve: 1\ny: constant(1)\n", ["p_ve", "p_e", "y", "x"]),
+    (["oracle"], "model: h\np_e: 1\nx: constant(2)\n", ["p_v", "p_ve"]),
+    (["predict"], "model: g\np: 1\nmembership: 0.5,0.5\nx: constant(2); constant(2)\n"
+                  "0: 0.5\n1: 0.5\n", ["p"]),
+    (["oracle", "--kmax", "3"], "model: h\np_ve: 1\ny: constant(2)\nm: 5\n", ["k_max", "m"]),
+    (["predict"], "model: g\np: 0.5\nmembership: 0.5,0.5\nx: constant(2); constant(2)\n0: 1\n",
+     ["profile"]),
+], ids=["predict_degenerate_h", "oracle_no_vertices", "predict_g_p_one", "oracle_kmax_below_m",
+        "predict_g_untouched_community"])
+def test_degenerate_model_config_exit_code(tmp_path, capsys, args, text, keys):
+    cfg = write(tmp_path, text, "model.cfg")
+    out = tmp_path / "out.csv"
+    argv = args[:1] + ["--config", cfg] + args[1:]
+    if args[0] == "oracle":
+        argv += ["--out", str(out)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert all(f"'{key}'" in err for key in keys)
+    assert "p_vertex" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, config", [("generate-h", BA_CONFIG), ("generate-g", G_CONFIG)])
 def test_negative_steps_rejected_at_argument_parsing(tmp_path, capsys, command, config):
     cfg = write(tmp_path, config, "model.cfg")

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
@@ -15,7 +16,11 @@ from hypermod import (
     predict_beta_h,
     reduce_community,
 )
+from hypermod import geng
+from hypermod.genh import checkpoint_times
 from hypermod.geng import expected_cardinality_size_pmf
+from hypermod.hypergraph import Hypergraph
+from hypermod.sampling import PreferentialSelector, cumulative, make_rng
 
 CONST = CardinalityDistribution.constant
 
@@ -105,7 +110,7 @@ def test_realized_community_sets_match_profile_frequencies():
         tuple(sorted({g.community[v] for v in e})) for e in g.edges[3:]
     )
     n = sum(observed.values())
-    assert n == stats.edge_events
+    assert n == stats.event_counts["hyperedge"]
     stat = 0.0
     for subset, p in profile.items():
         expected = p * n
@@ -117,7 +122,7 @@ def test_community_sizes_multinomial():
     params = make_gparams(p=0.5, steps=20_000)
     g, stats = generate_g(params, seed=5)
     sizes = Counter(g.community)
-    n = stats.vertex_events
+    n = stats.event_counts["vertex"]
     stat = sum(
         (sizes[j] - 1 - n * m) ** 2 / (n * m) for j, m in enumerate(params.membership)
     )
@@ -130,7 +135,7 @@ def test_crossing_fraction_converges_to_alpha():
     g, stats = generate_g(params, seed=6)
     crossing = sum(1 for e in g.edges[2:] if len({g.community[v] for v in e}) >= 2)
     alpha = 1 - (0.45 + 0.25)
-    n = stats.edge_events
+    n = stats.event_counts["hyperedge"]
     sigma = math.sqrt(alpha * (1 - alpha) / n)
     assert abs(crossing / n - alpha) < 4 * sigma
 
@@ -145,6 +150,115 @@ def test_single_community_reduction_is_bit_identical():
     assert g.edges == h.edges
     assert g.num_vertices == h.num_vertices
     assert g.degrees == h.degrees
+
+
+def _reference_select(occ, pool, count, gamma, rng):
+    """The selection law drawn one vertex at a time, sharing no code with
+    ``sampling.select_vertices``: ``occ`` lists each community member once
+    per unit of degree, ``pool`` each member once."""
+    out = []
+    for _ in range(count):
+        d, n = len(occ), len(pool)
+        if gamma == 0.0:
+            out.append(occ[int(rng.random() * d)])
+        elif rng.random() * (d + gamma * n) < d:
+            out.append(occ[int(rng.random() * d)])
+        else:
+            out.append(pool[int(rng.random() * n)])
+    return out
+
+
+def _reference_g_step(g, params, urns, rng):
+    """One step of the community process whose urns ``[(occ, pool), ...]``
+    grow one membership at a time, each routed by the vertex's label."""
+    r = params.num_communities
+    if rng.random() < params.p_vertex:
+        j = 0 if r == 1 else bisect_right(cumulative(params.membership), rng.random())
+        urns[j][1].append(g.add_vertex(community=j))
+        return ("vertex", j)
+    subset = params.profile.sample(rng)
+    members = []
+    for c in subset:
+        slot = 0 if r == 1 else int(rng.random() * r)
+        count = params.edge_sizes[slot].sample(rng)
+        members.extend(_reference_select(*urns[c], count, params.gamma, rng))
+    g.add_hyperedge(members)
+    for v in members:
+        urns[g.community[v]][0].append(v)
+    return ("hyperedge", subset)
+
+
+def _reference_generate_g(params, seed):
+    """``generate_g`` on the reference step, with its statistics written out."""
+    params.validate()
+    rng = make_rng(seed)
+    r = params.num_communities
+    g = Hypergraph(num_communities=r)
+    urns = []
+    for j in range(r):
+        v = g.add_vertex(community=j)
+        g.add_hyperedge([v])
+        urns.append(([v], [v]))
+    records, community_records, event_counts = [], [], {}
+
+    def record(t):
+        w = g.degree_sum + params.gamma * g.num_vertices
+        records.append((t, g.num_vertices, g.num_edges, g.degree_sum, w))
+        community_records.append((t, [len(p) for _, p in urns], [len(o) for o, _ in urns]))
+
+    record(0)
+    marks = checkpoint_times(params.steps)
+    for t in range(1, params.steps + 1):
+        kind = _reference_g_step(g, params, urns, rng)[0]
+        event_counts[kind] = event_counts.get(kind, 0) + 1
+        if t in marks:
+            record(t)
+    return g, (records, community_records, event_counts), rng
+
+
+THREE = InterCommunityProfile(
+    {(0,): 0.3, (1,): 0.2, (2,): 0.2, (0, 1): 0.15, (1, 2): 0.1, (0, 1, 2): 0.05}, 3
+)
+THREE_SIZES = [
+    CardinalityDistribution.uniform_int(1, 4),
+    CardinalityDistribution.shifted_poisson(1.5, 1),
+    CONST(2),
+]
+
+
+@pytest.mark.parametrize("params", [
+    GParams(0.5, [1.0], InterCommunityProfile({(0,): 1.0}, 1), [CONST(3)], gamma=1.0,
+            steps=3000),
+    GParams(0.3, [0.5, 0.3, 0.2], THREE, THREE_SIZES, gamma=0.0, steps=3000),
+    GParams(0.3, [0.5, 0.3, 0.2], THREE, THREE_SIZES, gamma=1.5, steps=3000),
+    GParams(1.0, [0.5, 0.3, 0.2], THREE, THREE_SIZES, gamma=1.0, steps=500),
+], ids=["one_community", "three_gamma0", "three_gamma1.5", "p_one"])
+def test_generate_g_matches_reference(monkeypatch, params):
+    rngs, urns = [], []
+
+    def recording_rng(seed):
+        rngs.append(make_rng(seed))
+        return rngs[-1]
+
+    class RecordingSelector(PreferentialSelector):
+        def __init__(self, gamma):
+            super().__init__(gamma)
+            urns.append(self)
+
+    monkeypatch.setattr(geng, "make_rng", recording_rng)
+    monkeypatch.setattr(geng, "PreferentialSelector", RecordingSelector)
+    g, stats = generate_g(params, seed=21)
+    ref, (records, community_records, event_counts), ref_rng = _reference_generate_g(params, 21)
+    assert g.edges == ref.edges
+    assert g.community == ref.community
+    assert stats.records == records
+    assert stats.community_records == community_records
+    assert stats.event_counts == event_counts
+    assert rngs[0].getstate() == ref_rng.getstate()
+    # every urn holds exactly its community's memberships, in order
+    for j, urn in enumerate(urns):
+        assert list(urn.occurrences) == [v for v in g.members if g.community[v] == j]
+        assert urn.members == [v for v in range(g.num_vertices) if g.community[v] == j]
 
 
 def test_degree_cache_consistent_after_run():
@@ -215,7 +329,7 @@ def test_expected_size_pmf_matches_empirical():
     assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-9)
     g, stats = generate_g(params, seed=8)
     observed = Counter(len(e) for e in g.edges[2:])
-    n = stats.edge_events
+    n = stats.event_counts["hyperedge"]
     for size, p in pmf.items():
         if p < 1e-4:
             continue

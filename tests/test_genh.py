@@ -9,13 +9,13 @@ from hypermod.genh import (
     EVENT_NOTHING,
     EVENT_VERTEX,
     EVENT_VERTEX_EDGES,
-    HRunStats,
+    RunStats,
     checkpoint_times,
     h_step,
     initial_hypergraph,
     sample_size,
 )
-from hypermod.sampling import PreferentialSelector, make_rng
+from hypermod.sampling import make_rng
 
 CONST = CardinalityDistribution.constant
 
@@ -217,35 +217,49 @@ def test_stats_weight_column_tracks_smoothing():
         assert w == pytest.approx(d + 2.5 * v)
 
 
-def _reference_h_step(h, params, sel, t, rng):
-    """One step of the general process drawn through a ``PreferentialSelector``
-    that keeps its own occurrence list: the simple path ``h_step`` replaces."""
+def _reference_select(occ, pool, count, gamma, rng):
+    """The selection law drawn one vertex at a time, sharing no code with
+    ``sampling.select_vertices``: ``occ`` lists each vertex once per unit
+    of degree, ``pool`` each vertex once."""
+    out = []
+    for _ in range(count):
+        d, n = len(occ), len(pool)
+        if gamma == 0.0:
+            out.append(occ[int(rng.random() * d)])
+        elif rng.random() * (d + gamma * n) < d:
+            out.append(occ[int(rng.random() * d)])
+        else:
+            out.append(pool[int(rng.random() * n)])
+    return out
+
+
+def _reference_h_step(h, params, occ, pool, t, rng):
+    """One step of the general process drawn from an occurrence list of its
+    own, grown one membership at a time: the simple path ``h_step`` replaces."""
     u = rng.random()
     if u < params.p_vertex:
-        sel.add_member(h.add_vertex())
+        pool.append(h.add_vertex())
         return EVENT_VERTEX
     u -= params.p_vertex
-    m = params.edges_per_event
+    m, gamma = params.edges_per_event, params.gamma
     if u < params.p_vertex_edge:
         y = sample_size(params.attach_size, t, params.cap_sizes, rng)
-        new_edges = [sel.select_vertices(y - 1, rng) for _ in range(m)]
+        new_edges = [_reference_select(occ, pool, y - 1, gamma, rng) for _ in range(m)]
         v = h.add_vertex()
-        sel.add_member(v)
+        pool.append(v)
         for others in new_edges:
             others.append(v)
             h.add_hyperedge(others)
-            for w in others:
-                sel.record_degree_increment(w)
+            occ.extend(others)
         return EVENT_VERTEX_EDGES
     u -= params.p_vertex_edge
     for i, p in enumerate(params.p_edge):
         if u < p:
             x = sample_size(params.edge_sizes[i], t, params.cap_sizes, rng)
-            new_edges = [sel.select_vertices(x, rng) for _ in range(m)]
+            new_edges = [_reference_select(occ, pool, x, gamma, rng) for _ in range(m)]
             for members in new_edges:
                 h.add_hyperedge(members)
-                for w in members:
-                    sel.record_degree_increment(w)
+                occ.extend(members)
             return f"edges:{i}"
         u -= p
     return EVENT_NOTHING
@@ -254,16 +268,15 @@ def _reference_h_step(h, params, sel, t, rng):
 def _reference_generate_h(params, seed):
     rng = make_rng(seed)
     h = initial_hypergraph()
-    sel = PreferentialSelector(params.gamma)
-    sel.add_member(0)
-    sel.record_degree_increment(0)
-    stats = HRunStats()
+    occ, pool = [0], [0]
+    stats = RunStats()
     stats.record(0, h, params.gamma)
     marks = checkpoint_times(params.steps)
     for t in range(1, params.steps + 1):
-        stats.count_event(_reference_h_step(h, params, sel, t, rng))
+        stats.count_event(_reference_h_step(h, params, occ, pool, t, rng))
         if t in marks:
             stats.record(t, h, params.gamma)
+    assert list(h.members) == occ
     return h, stats, rng
 
 

@@ -68,7 +68,7 @@ def _selector_with_degrees(degrees, gamma):
     for v, d in enumerate(degrees):
         sel.add_member(v)
         for _ in range(d):
-            sel.record_degree_increment(v)
+            sel.record_degree_increment([v])
     return sel
 
 
@@ -87,17 +87,16 @@ class TestPreferentialSelector:
         assert sel.marginals()[0] == pytest.approx(5 / 8)
         rng = make_rng(123)
         n = 10 ** 6
-        hits = sum(1 for _ in range(n) if sel.select_one(rng) == 0)
+        hits = sel.select_vertices(n, rng).count(0)
         sigma = math.sqrt((5 / 8) * (3 / 8) / n)
         assert abs(hits / n - 5 / 8) < 3 * sigma
 
     def test_increment_grows_occurrences_and_weight(self):
         sel = _selector_with_degrees([2, 2], 1.0)
         before = sel.degree_total
-        sel.record_degree_increment(0)
+        sel.record_degree_increment([0])
         assert sel.degree_total == before + 1
-        sel.record_degree_increment(1)
-        sel.record_degree_increment(1)
+        sel.record_degree_increment([1, 1])
         assert Counter(sel.occurrences)[1] == 4
 
     def test_marginals_after_many_increments_match_formula(self):
@@ -108,12 +107,13 @@ class TestPreferentialSelector:
         for v in range(20):
             sel.add_member(v)
             degrees[v] = 0
-        sel.record_degree_increment(0)
+        sel.record_degree_increment([0])
         degrees[0] = 1
         for _ in range(100):
             size = rng.randint(1, 4)
-            for v in [rng.randrange(20) for _ in range(size)]:
-                sel.record_degree_increment(v)
+            chunk = [rng.randrange(20) for _ in range(size)]
+            sel.record_degree_increment(chunk)
+            for v in chunk:
                 degrees[v] += 1
         total = sum(degrees.values()) + gamma * 20
         expected = {v: (d + gamma) / total for v, d in degrees.items()}
@@ -149,18 +149,13 @@ class TestPreferentialSelector:
     def test_empty_population_errors(self):
         sel = PreferentialSelector(1.0)
         with pytest.raises(ValueError):
-            sel.select_one(make_rng(0))
+            sel.select_vertices(1, make_rng(0))
 
     def test_gamma_zero_needs_positive_degree(self):
         sel = PreferentialSelector(0.0)
         sel.add_member(0)
         with pytest.raises(ValueError):
-            sel.select_one(make_rng(0))
-
-    def test_unknown_vertex_rejected(self):
-        sel = _selector_with_degrees([1], 0.0)
-        with pytest.raises(ValueError):
-            sel.record_degree_increment(5)
+            sel.select_vertices(1, make_rng(0))
 
 
 def test_same_seed_reproduces_generated_hypergraph():
