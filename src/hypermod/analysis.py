@@ -267,17 +267,17 @@ def bound_inputs_from_profile(profile, card_profile):
     )
 
 
-def empirical_bound_inputs(h):
-    """Bound inputs measured from a generated community-labeled hypergraph."""
-    if h.community is None:
-        raise ValueError("hypergraph carries no community labels")
-    r = h.num_communities
+def empirical_bound_inputs(h, communities):
+    """Bound inputs measured from a hypergraph and its planted ``Partition``."""
+    if len(communities) != h.num_vertices:
+        raise ValueError("partition size does not match the vertex count")
+    r = communities.num_blocks
     ne = h.num_edges
     if ne == 0:
         raise ValueError("need at least one hyperedge")
     within = [0] * r
     touch = [0] * r
-    community = h.community
+    community = communities.block_of
     for e in h.edge_members():
         seen = {community[v] for v in e}
         if len(seen) == 1:

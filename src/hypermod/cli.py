@@ -24,10 +24,11 @@ from .analysis import (
 from .config import ConfigError, config_keys, parse_experiment_config, parse_model_config
 from .experiments import run_experiment
 from .genh import HParams, generate_h
-from .geng import GParams, expected_cardinality_size_pmf, generate_g
+from .geng import expected_cardinality_size_pmf, generate_g
 from .louvain import detect_communities
 from .modularity import (
     CardinalityProfile,
+    Partition,
     flatten,
     hypergraph_modularity_score,
     weighted_graph_modularity,
@@ -41,9 +42,7 @@ def _print_kv(pairs, out=None):
 
 
 def _cmd_generate_h(args):
-    params = parse_model_config(args.config)
-    if not isinstance(params, HParams):
-        raise ConfigError("generate-h needs a 'model: h' config")
+    params = parse_model_config(args.config, "h")
     if args.steps is not None:
         params.steps = args.steps
     h, stats = generate_h(params, args.seed)
@@ -63,15 +62,13 @@ def _cmd_generate_h(args):
 
 
 def _cmd_generate_g(args):
-    params = parse_model_config(args.config)
-    if not isinstance(params, GParams):
-        raise ConfigError("generate-g needs a 'model: g' config")
+    params = parse_model_config(args.config, "g")
     if args.steps is not None:
         params.steps = args.steps
-    g, stats = generate_g(params, args.seed)
+    g, planted, stats = generate_g(params, args.seed)
     files.write_hypergraph(g, args.out)
     if args.communities:
-        files.write_labels(g.community, args.communities)
+        files.write_labels(planted.block_of, args.communities)
     if args.stats:
         rows = []
         for (t, v, e, d, _), (_, sizes, degs) in zip(stats.records, stats.community_records):
@@ -104,7 +101,7 @@ def _cmd_modularity(args):
 def _cmd_detect(args):
     h = files.parse_hypergraph(args.input)
     wg = flatten(h)
-    part = detect_communities(wg, seed=args.seed, max_levels=args.max_levels)
+    part = detect_communities(wg, seed=args.seed)
     if args.out:
         files.write_partition(part, args.out)
     _print_kv([
@@ -155,16 +152,13 @@ def _cmd_predict(args):
 
 
 def _cmd_bounds(args):
-    params = parse_model_config(args.config)
-    if not isinstance(params, GParams):
-        raise ConfigError("bounds needs a 'model: g' config")
+    params = parse_model_config(args.config, "g")
     if args.input:
         h = files.parse_hypergraph(args.input)
         if not args.communities:
             raise ConfigError("--input also needs --communities for the labels")
         labels = files.parse_labels(args.communities, h.num_vertices)
-        h.set_communities(labels, params.num_communities)
-        inputs = empirical_bound_inputs(h)
+        inputs = empirical_bound_inputs(h, Partition(labels, params.num_communities))
     else:
         pmf = expected_cardinality_size_pmf(params)
         delta = sum(ell * p for ell, p in pmf.items())
@@ -185,9 +179,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_oracle(args):
-    params = parse_model_config(args.config)
-    if not isinstance(params, HParams):
-        raise ConfigError("oracle needs a 'model: h' config")
+    params = parse_model_config(args.config, "h")
     with config_keys(params):
         table = degree_fraction_oracle(params, args.kmax)
     rows = [
@@ -248,7 +240,6 @@ def build_parser():
     p = sub.add_parser("detect", help="flatten and detect communities")
     p.add_argument("--input", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-levels", type=int, default=32)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_detect)
 

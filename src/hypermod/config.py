@@ -5,9 +5,12 @@ digits and commas are community-profile entries mapping a community
 subset to a probability, e.g. ``0,2: 0.25``. Distributions are written
 ``constant(3)``, ``uniform_int(1,4)``, ``categorical(2:0.5,3:0.5)`` or
 ``shifted_poisson(2.0,1)``; lists of distributions are separated by
-semicolons, lists of numbers by commas. Unknown keys are hard errors.
+semicolons, lists of numbers by commas. Every number must be finite.
+Unknown keys are hard errors.
 """
 
+import copy
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -15,7 +18,6 @@ from dataclasses import dataclass, field
 from .sampling import CardinalityDistribution
 from .genh import HParams, ParamError
 from .geng import GParams, InterCommunityProfile
-from .experiments import embedded_h_params
 
 
 class ConfigError(Exception):
@@ -24,14 +26,7 @@ class ConfigError(Exception):
 
 _DIST_RE = re.compile(r"^\s*(\w+)\s*\(\s*(.*?)\s*\)\s*$")
 _PROFILE_KEY_RE = re.compile(r"^\d+(,\d+)*$")
-
-EXPERIMENT_KINDS = (
-    "fig1_bound_vs_detected",
-    "beta_sweep",
-    "example_regressions",
-    "recurrence_check",
-    "g_vs_avin",
-)
+_REQUIRED = object()  # the default of a key that must be present
 
 
 @dataclass
@@ -41,6 +36,18 @@ class ExperimentSpec:
     kind: str
     replicas: int = 1
     options: dict = field(default_factory=dict)
+
+
+def _number(text):
+    """A finite float; NaN and infinities would slip past every range check."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError("not a finite number")
+    return x
+
+
+def _numbers(text):
+    return [_number(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def parse_distribution(text):
@@ -59,11 +66,11 @@ def parse_distribution(text):
             for pair in args.split(","):
                 v, p = pair.split(":")
                 values.append(int(v))
-                probs.append(float(p))
+                probs.append(_number(p))
             return CardinalityDistribution.categorical(values, probs)
         if kind == "shifted_poisson":
             fields = args.split(",")
-            lam = float(fields[0])
+            lam = _number(fields[0])
             shift = int(fields[1]) if len(fields) > 1 else 1
             return CardinalityDistribution.shifted_poisson(lam, shift)
     except (ValueError, KeyError) as exc:
@@ -73,10 +80,6 @@ def parse_distribution(text):
 
 def parse_distribution_list(text):
     return [parse_distribution(part) for part in text.split(";")]
-
-
-def _float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def read_entries(path):
@@ -100,16 +103,17 @@ def read_entries(path):
     return entries
 
 
-def _take(entries, key, convert, default=None, required=False):
+def _take(entries, key, convert, default=_REQUIRED):
+    """Pop and convert ``key``; a missing key gets a copy of the shared ``default``."""
     if key not in entries:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
-        return default
+        return copy.copy(default)
     raw = entries.pop(key)
     try:
         return convert(raw)
-    except ConfigError:
-        raise
+    except ConfigError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
     except Exception as exc:
         raise ConfigError(f"key {key!r}: bad value {raw!r} ({exc})") from None
 
@@ -122,16 +126,33 @@ def _bool(text):
     raise ValueError("expected on/off")
 
 
-# parameter field -> the config key that sets it, per model
+# config key -> (parameter field, converter, default), one table per model;
+# parsing, error names and the experiments' ``h`` keys all read these
 _H_KEYS = {
-    "p_vertex": "p_v",
-    "p_vertex_edge": "p_ve",
-    "p_edge": "p_e",
-    "attach_size": "y",
-    "edge_sizes": "x",
-    "edges_per_event": "m",
+    "p_v": ("p_vertex", _number, 0.0),
+    "p_ve": ("p_vertex_edge", _number, 0.0),
+    "p_e": ("p_edge", _numbers, []),
+    "y": ("attach_size", parse_distribution, CardinalityDistribution.constant(1)),
+    "x": ("edge_sizes", parse_distribution_list, []),
+    "m": ("edges_per_event", int, 1),
+    "gamma": ("gamma", _number, 0.0),
+    "steps": ("steps", int, 0),
+    "cardinality_cap": ("cap_sizes", _bool, False),
 }
-_G_KEYS = {"p_vertex": "p", "edge_sizes": "x"}
+_G_KEYS = {
+    "membership": ("membership", _numbers, _REQUIRED),
+    "p": ("p_vertex", _number, _REQUIRED),
+    "x": ("edge_sizes", parse_distribution_list, _REQUIRED),
+    "gamma": ("gamma", _number, 0.0),
+    "steps": ("steps", int, 0),
+}
+# how errors name the fields that no config key sets
+_UNKEYED = {"profile": "profile lines 'i,j: prob'", "k_max": "option '--kmax'"}
+
+
+def _take_fields(entries, keys):
+    """Parameter fields read from ``entries`` through a key table."""
+    return {f: _take(entries, key, convert, default) for key, (f, convert, default) in keys.items()}
 
 
 @contextmanager
@@ -141,10 +162,12 @@ def config_keys(params):
     try:
         yield
     except ParamError as exc:
-        keys = _H_KEYS if isinstance(params, HParams) else _G_KEYS
-        names = ", ".join(repr(keys.get(f, f)) for f in exc.fields)
-        noun = "keys" if len(exc.fields) > 1 else "key"
-        raise ConfigError(f"{noun} {names}: {exc.rule}") from None
+        table = _H_KEYS if isinstance(params, HParams) else _G_KEYS
+        key_of = {f: key for key, (f, _, _) in table.items()}
+        keys = [repr(key_of[f]) for f in exc.fields if f in key_of]
+        names = [f"{'keys' if len(keys) > 1 else 'key'} {', '.join(keys)}"] if keys else []
+        names += [_UNKEYED.get(f, repr(f)) for f in exc.fields if f not in key_of]
+        raise ConfigError(f"{', '.join(names)}: {exc.rule}") from None
 
 
 def _validated(params):
@@ -164,9 +187,9 @@ def _pop_profile(entries, num_communities):
     for key in [k for k in entries if _PROFILE_KEY_RE.match(k)]:
         subset = tuple(int(tok) for tok in key.split(","))
         try:
-            profile_entries[subset] = float(entries.pop(key))
-        except ValueError:
-            raise ConfigError(f"profile entry {key!r}: bad probability") from None
+            profile_entries[subset] = _number(entries.pop(key))
+        except ValueError as exc:
+            raise ConfigError(f"profile entry {key!r}: bad probability ({exc})") from None
     if not profile_entries:
         raise ConfigError("community model needs at least one profile line 'i1,i2,...: prob'")
     try:
@@ -176,90 +199,68 @@ def _pop_profile(entries, num_communities):
 
 
 def parse_h_params(entries):
-    p_edge = _take(entries, "p_e", _float_list, default=[])
-    params = HParams(
-        p_vertex=_take(entries, "p_v", float, default=0.0),
-        p_vertex_edge=_take(entries, "p_ve", float, default=0.0),
-        p_edge=p_edge,
-        attach_size=_take(
-            entries, "y", parse_distribution,
-            default=CardinalityDistribution.constant(1),
-        ),
-        edge_sizes=_take(entries, "x", parse_distribution_list, default=[]),
-        edges_per_event=_take(entries, "m", int, default=1),
-        gamma=_take(entries, "gamma", float, default=0.0),
-        steps=_take(entries, "steps", int, default=0),
-        cap_sizes=_take(entries, "cardinality_cap", _bool, default=False),
-    )
+    params = HParams(**_take_fields(entries, _H_KEYS))
     _reject_unknown(entries, "general model")
     return _validated(params)
 
 
 def parse_g_params(entries):
-    membership = _take(entries, "membership", _float_list, required=True)
-    profile = _pop_profile(entries, len(membership))
-    params = GParams(
-        p_vertex=_take(entries, "p", float, required=True),
-        membership=membership,
-        profile=profile,
-        edge_sizes=_take(entries, "x", parse_distribution_list, required=True),
-        gamma=_take(entries, "gamma", float, default=0.0),
-        steps=_take(entries, "steps", int, default=0),
-    )
+    fields = _take_fields(entries, _G_KEYS)
+    params = GParams(profile=_pop_profile(entries, len(fields["membership"])), **fields)
     _reject_unknown(entries, "community model")
     return _validated(params)
 
 
-def parse_model_config(path):
-    """Read a generator config; returns HParams or GParams."""
+def parse_model_config(path, model=None):
+    """Read a generator config; returns HParams or GParams. A ``model`` of
+    "h" or "g" rejects a config of the other model."""
     entries = read_entries(path)
-    model = _take(entries, "model", str, required=True)
-    if model == "h":
-        return parse_h_params(entries)
-    if model == "g":
-        return parse_g_params(entries)
-    raise ConfigError(f"unknown model {model!r}, expected 'h' or 'g'")
+    found = _take(entries, "model", str)
+    parse = {"h": parse_h_params, "g": parse_g_params}.get(found)
+    if parse is None:
+        raise ConfigError(f"unknown model {found!r}, expected 'h' or 'g'")
+    if model not in (None, found):
+        raise ConfigError(f"this command needs a 'model: {model}' config, got 'model: {found}'")
+    return parse(entries)
 
 
+def _embedded_h_keys(omit=(), **defaults):
+    """``_H_KEYS`` less the keys in ``omit``, with some defaults replaced."""
+    return {key: (f, convert, defaults.get(key, default))
+            for key, (f, convert, default) in _H_KEYS.items() if key not in omit}
+
+
+# experiment kind -> (its own options: key -> (converter, default), and the
+# ``h`` keys from which it builds ``options["params"]``)
 _EXPERIMENT_KEYS = {
-    "fig1_bound_vs_detected": {
+    "fig1_bound_vs_detected": ({
         "uniformity": (int, 2),
         "communities": (int, 47),
-        "alphas": (_float_list, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
-        "p": (float, 0.25),
-        "gamma": (float, 1.0),
+        "alphas": (_numbers, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
+        "p": (_number, 0.25),
+        "gamma": (_number, 1.0),
         "target_vertices": (int, 10000),
-    },
-    "g_vs_avin": {
+    }, {}),
+    "g_vs_avin": ({
         "uniformity": (int, 20),
         "communities": (int, 47),
-        "alphas": (_float_list, [0.21]),
-        "p": (float, 0.3),
-        "gamma": (float, 1.0),
+        "alphas": (_numbers, [0.21]),
+        "p": (_number, 0.3),
+        "gamma": (_number, 1.0),
         "target_vertices": (int, 10000),
-    },
-    "beta_sweep": {
-        "gamma_values": (_float_list, [0.0, 1.0, 2.0]),
-        "steps": (int, 100000),
-        "p_v": (float, 0.0),
-        "p_ve": (float, 0.0),
-        "p_e": (_float_list, []),
-        "y": (parse_distribution, CardinalityDistribution.constant(2)),
-        "x": (parse_distribution_list, []),
-        "m": (int, 1),
-    },
-    "example_regressions": {},
-    "recurrence_check": {
-        "k_max": (int, 20),
-        "steps": (int, 100000),
-        "p_v": (float, 0.3),
-        "p_ve": (float, 0.3),
-        "p_e": (_float_list, [0.4]),
-        "y": (parse_distribution, CardinalityDistribution.constant(3)),
-        "x": (parse_distribution_list, [CardinalityDistribution.constant(3)]),
-        "m": (int, 1),
-        "gamma": (float, 1.0),
-    },
+    }, {}),
+    "beta_sweep": (
+        {"gamma_values": (_numbers, [0.0, 1.0, 2.0])},
+        _embedded_h_keys(omit=("gamma", "cardinality_cap"), steps=100000,
+                         y=CardinalityDistribution.constant(2)),
+    ),
+    "example_regressions": ({}, {}),
+    "recurrence_check": (
+        {"k_max": (int, 20)},
+        _embedded_h_keys(omit=("cardinality_cap",), steps=100000, p_v=0.3, p_ve=0.3,
+                         p_e=[0.4], y=CardinalityDistribution.constant(3),
+                         x=[CardinalityDistribution.constant(3)], gamma=1.0),
+    ),
 }
 
 
@@ -269,7 +270,8 @@ def _check(ok, key, rule, value):
 
 
 def _validate_experiment(kind, o):
-    """Range checks of experiment options; each error names its key."""
+    """Range checks of experiment options that no parameter class makes;
+    each error names its key."""
     if kind in ("fig1_bound_vs_detected", "g_vs_avin"):
         _check(o["uniformity"] >= 1, "uniformity", ">= 1", o["uniformity"])
         _check(o["communities"] >= 1, "communities", ">= 1", o["communities"])
@@ -280,35 +282,33 @@ def _validate_experiment(kind, o):
             _check(0.0 <= alpha <= 1.0, "alphas", "in [0, 1]", alpha)
             # cross-community noise needs a pair of communities to land on
             _check(alpha == 0.0 or o["communities"] >= 2, "alphas", "0 with one community", alpha)
-    elif kind in ("beta_sweep", "recurrence_check"):
-        if kind == "beta_sweep":
-            for gamma in o["gamma_values"]:
-                _check(gamma >= 0.0, "gamma_values", ">= 0", gamma)
-        else:
-            _check(o["gamma"] >= 0.0, "gamma", ">= 0", o["gamma"])
-            _check(o["k_max"] >= o["m"], "k_max", f">= m ({o['m']})", o["k_max"])
-            if o["p_v"] + o["p_ve"] <= 0:
-                raise ConfigError("keys 'p_v', 'p_ve': must not both be 0, "
-                                  "since degree fractions are per vertex")
-        _check(o["m"] >= 1, "m", ">= 1", o["m"])
-        _check(o["steps"] >= 0, "steps", ">= 0", o["steps"])
-        _check(len(o["p_e"]) == len(o["x"]), "p_e", f"one entry per 'x' distribution ({len(o['x'])})",
-               o["p_e"])
-        # only the event probabilities are left for HParams.validate to reject
-        _validated(embedded_h_params(o, 0.0))
+    elif kind == "beta_sweep":
+        for gamma in o["gamma_values"]:
+            _check(gamma >= 0.0, "gamma_values", ">= 0", gamma)
+        _validated(o["params"])
+    elif kind == "recurrence_check":
+        params = _validated(o["params"])
+        m = params.edges_per_event
+        _check(o["k_max"] >= m, "k_max", f">= m ({m})", o["k_max"])
+        if params.p_vertex + params.p_vertex_edge <= 0:
+            raise ConfigError("keys 'p_v', 'p_ve': must not both be 0, "
+                              "since degree fractions are per vertex")
 
 
 def parse_experiment_config(path):
     entries = read_entries(path)
-    kind = _take(entries, "kind", str, required=True)
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}, expected one of {EXPERIMENT_KINDS}")
+    kind = _take(entries, "kind", str)
+    if kind not in _EXPERIMENT_KEYS:
+        raise ConfigError(f"unknown experiment kind {kind!r}, "
+                          f"expected one of {tuple(_EXPERIMENT_KEYS)}")
     replicas = _take(entries, "replicas", int, default=1)
     if replicas < 1:
         raise ConfigError("replicas must be >= 1")
-    options = {}
-    for key, (convert, default) in _EXPERIMENT_KEYS[kind].items():
-        options[key] = _take(entries, key, convert, default=default)
+    own_keys, h_keys = _EXPERIMENT_KEYS[kind]
+    options = {key: _take(entries, key, convert, default)
+               for key, (convert, default) in own_keys.items()}
+    if h_keys:
+        options["params"] = HParams(**_take_fields(entries, h_keys))
     _reject_unknown(entries, f"experiment {kind}")
     _validate_experiment(kind, options)
     return ExperimentSpec(kind=kind, replicas=replicas, options=options)

@@ -7,6 +7,7 @@ stay reproducible point by point.
 """
 
 import math
+from dataclasses import replace
 from statistics import fmean, stdev
 
 from .analysis import (
@@ -20,7 +21,7 @@ from .files import write_csv
 from .genh import HParams, generate_h
 from .geng import GParams, InterCommunityProfile, generate_g
 from .louvain import detect_communities
-from .modularity import Partition, flatten, hypergraph_modularity_score
+from .modularity import flatten, hypergraph_modularity_score
 from .sampling import CardinalityDistribution
 
 
@@ -77,12 +78,11 @@ def fig1_bound_vs_detected(options, replicas, seed):
                 options["communities"], alpha, options["uniformity"],
                 options["p"], options["gamma"], options["target_vertices"],
             )
-            g, _ = generate_g(params, run_seed)
-            planted_part = Partition(list(g.community), g.num_communities)
+            g, planted_part, _ = generate_g(params, run_seed)
             planted.append(hypergraph_modularity_score(g, planted_part).score)
             q_det, _ = detected_partition_score(g, run_seed)
             detected.append(q_det)
-            bounds.append(modularity_lower_bound_general(empirical_bound_inputs(g)))
+            bounds.append(modularity_lower_bound_general(empirical_bound_inputs(g, planted_part)))
         rows.append((alpha, fmean(bounds), fmean(detected), fmean(planted)))
     return header, rows
 
@@ -120,7 +120,7 @@ def g_vs_avin(options, replicas, seed):
                 options["communities"], alpha, options["uniformity"],
                 options["p"], options["gamma"], options["target_vertices"],
             )
-            g, _ = generate_g(gparams, run_seed)
+            g, _, _ = generate_g(gparams, run_seed)
             q_g.append(detected_partition_score(g, run_seed)[0])
             aparams = matched_background_params(options, alpha)
             a, _ = generate_h(aparams, run_seed)
@@ -129,26 +129,12 @@ def g_vs_avin(options, replicas, seed):
     return header, rows
 
 
-def embedded_h_params(options, gamma):
-    """General-model parameters from the ``p_v``, ``p_ve``, ``p_e``, ``y``,
-    ``x``, ``m`` and ``steps`` options of an experiment."""
-    return HParams(
-        p_vertex=options["p_v"],
-        p_vertex_edge=options["p_ve"],
-        p_edge=list(options["p_e"]),
-        attach_size=options["y"],
-        edge_sizes=list(options["x"]),
-        edges_per_event=options["m"],
-        gamma=gamma,
-        steps=options["steps"],
-    )
-
-
 def beta_sweep(options, replicas, seed):
+    """Fitted tail exponents of ``options["params"]`` at each ``gamma_values`` entry."""
     header = ["gamma", "beta_theory", "beta_hat_mean", "beta_hat_sd"]
     rows = []
     for idx, gamma in enumerate(options["gamma_values"]):
-        params = embedded_h_params(options, gamma)
+        params = replace(options["params"], gamma=gamma)
         theory = predict_beta_h(params).beta
         fits = []
         for rep in range(replicas):
@@ -177,8 +163,8 @@ def example_regressions(options, replicas, seed):
 
 
 def recurrence_check(options, replicas, seed):
-    """Empirical per-vertex degree fractions against the exact recurrence."""
-    params = embedded_h_params(options, options["gamma"])
+    """Per-vertex degree fractions of ``options["params"]``, measured and exact."""
+    params = options["params"]
     k_max = options["k_max"]
     table = degree_fraction_oracle(params, k_max)
     samples = [[] for _ in range(k_max + 1)]

@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .hypergraph import Hypergraph
+from .modularity import Partition
 from .sampling import CardinalityDistribution, PreferentialSelector, cumulative, make_rng
 from .genh import HParams, ParamError, RunStats, checkpoint_times
 
@@ -134,8 +135,7 @@ def g_step(g, params, selectors, rng, _cum=None):
     r = params.num_communities
     if rng.random() < params.p_vertex:
         j = 0 if r == 1 else bisect_right(_cum, rng.random())
-        v = g.add_vertex(community=j)
-        selectors[j].add_member(v)
+        selectors[j].add_member(g.add_vertex())
         return ("vertex", j)
     subset = params.profile.sample(rng)
     chunks = []
@@ -154,15 +154,16 @@ def generate_g(params, seed):
     """Run the community process for ``params.steps`` steps.
 
     Starts from one vertex per community, each carrying a size-1
-    hyperedge. Returns the labeled hypergraph and run statistics.
+    hyperedge. Returns the hypergraph, the planted ``Partition`` (block j
+    is community j) and run statistics.
     """
     params.validate()
     rng = make_rng(seed)
     r = params.num_communities
-    g = Hypergraph(num_communities=r)
+    g = Hypergraph()
     selectors = [PreferentialSelector(params.gamma) for _ in range(r)]
     for j in range(r):
-        v = g.add_vertex(community=j)
+        v = g.add_vertex()
         g.add_hyperedge([v])
         selectors[j].add_member(v)
         selectors[j].record_degree_increment([v])
@@ -174,7 +175,12 @@ def generate_g(params, seed):
         stats.count_event(g_step(g, params, selectors, rng, _cum=cum)[0])
         if t in marks:
             stats.record(t, g, params.gamma, selectors)
-    return g, stats
+    # each vertex is a member of exactly one community's urn
+    community = [0] * g.num_vertices
+    for j, sel in enumerate(selectors):
+        for v in sel.members:
+            community[v] = j
+    return g, Partition(community, r), stats
 
 
 def reduce_community(params, j):

@@ -139,7 +139,8 @@ def h_step(h, params, t, rng):
     u -= params.p_vertex
     m = params.edges_per_event
     gamma = params.gamma
-    occ, pool = h.members, range(h.num_vertices)
+    occ = h.members
+    pool = range(h.num_vertices) if gamma > 0 else None  # read only when smoothing
     if u < params.p_vertex_edge:
         y = sample_size(params.attach_size, t, params.cap_sizes, rng)
         new_edges = [select_vertices(occ, pool, y - 1, gamma, rng) for _ in range(m)]

@@ -32,12 +32,10 @@ class Hypergraph:
     and then extended as edges arrive. Treat both as read-only.
     """
 
-    def __init__(self, num_communities=None):
+    def __init__(self):
         self.num_vertices = 0
         self.members = array("q")
         self.offsets = array("q", [0])
-        self.num_communities = num_communities
-        self.community = [] if num_communities is not None else None
         self._degrees = None
         self._edges = []
 
@@ -80,18 +78,8 @@ class Hypergraph:
         offsets = self.offsets
         return [offsets[i + 1] - offsets[i] for i in range(len(offsets) - 1)]
 
-    def add_vertex(self, community=None):
+    def add_vertex(self):
         """Append a new isolated vertex, returning its id."""
-        if self.community is not None:
-            if community is None:
-                raise ValueError("community-labeled hypergraph: a community index is required")
-            if not 0 <= community < self.num_communities:
-                raise ValueError(
-                    f"community index {community} out of range [0, {self.num_communities})"
-                )
-            self.community.append(community)
-        elif community is not None:
-            raise ValueError("hypergraph carries no community labels")
         self._degrees = None
         self.num_vertices += 1
         return self.num_vertices - 1
@@ -107,19 +95,6 @@ class Hypergraph:
         self.offsets.append(len(self.members))
         self._degrees = None
         return len(self.offsets) - 2
-
-    def set_communities(self, labels, num_communities=None):
-        """Attach one community label per vertex (used when loading from files)."""
-        if len(labels) != self.num_vertices:
-            raise ValueError(
-                f"expected {self.num_vertices} labels, got {len(labels)}"
-            )
-        r = num_communities if num_communities is not None else (max(labels) + 1 if labels else 0)
-        for v, c in enumerate(labels):
-            if not 0 <= c < r:
-                raise ValueError(f"vertex {v}: community {c} out of range [0, {r})")
-        self.num_communities = r
-        self.community = list(labels)
 
     def degree_histogram(self):
         counts = Counter(self.degrees)

@@ -12,6 +12,7 @@ import random
 from .modularity import Partition, weighted_graph_modularity
 
 MIN_GAIN = 1e-9
+MAX_LEVELS = 32  # cap on aggregation levels; detection stops sooner once a level moves nothing
 
 
 def _one_level(adj, k, total, order):
@@ -76,7 +77,7 @@ def _aggregate(adj, self_w, block, num_blocks):
     return new_adj, new_self, new_k
 
 
-def detect_communities(graph, seed=0, max_levels=32):
+def detect_communities(graph, seed=0):
     """Partition a weighted graph by greedy modularity maximization.
 
     Returns a partition of the graph's vertices; vertices without edges
@@ -96,7 +97,7 @@ def detect_communities(graph, seed=0, max_levels=32):
     rng = random.Random(seed)
 
     labels = list(range(n))
-    for _level in range(max_levels):
+    for _level in range(MAX_LEVELS):
         order = list(range(len(adj)))
         rng.shuffle(order)
         block, improved = _one_level(adj, k, total, order)

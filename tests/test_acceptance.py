@@ -113,7 +113,7 @@ def test_criterion_4_tight_bound_case():
         exact = modularity_lower_bound_ab(0.0, 1.0 / r, two_uniform, 2, r)
         assert exact == pytest.approx(1 - 1 / r, abs=1e-12)
         params = uniform_block_params(r, 0.0, 2, 0.25, 1.0, 10_000)
-        g, _ = generate_g(params, seed=100 + r)
+        g, _, _ = generate_g(params, seed=100 + r)
         part = detect_communities(flatten(g), seed=100 + r)
         q = hypergraph_modularity_score(g, part).score
         assert abs(q - (1 - 1 / r)) <= 0.05
@@ -197,10 +197,10 @@ def test_criterion_7_per_community_reduction():
     params = GParams(0.4, [0.6, 0.25, 0.15], profile, [CONST(3)] * 3,
                      gamma=2.0, steps=100_000)
     beta_global, betas = predict_beta_g(params)
-    g, _ = generate_g(params, seed=77)
+    g, planted, _ = generate_g(params, seed=77)
     worst = 0.0
     for j in range(3):
-        degrees = [g.degrees[v] for v in range(g.num_vertices) if g.community[v] == j]
+        degrees = [g.degrees[v] for v in range(g.num_vertices) if planted.block_of[v] == j]
         hist = DegreeHistogram(dict(Counter(degrees)), len(degrees))
         fit = fit_tail_exponent(hist)
         diff = abs(fit.beta_hat - betas[j])

@@ -283,8 +283,8 @@ class TestBounds:
         profile = InterCommunityProfile({(0,): 0.5, (1,): 0.2, (0, 1): 0.3}, 2)
         params = GParams(0.3, [0.5, 0.5], profile, [CONST(2), CONST(2)], gamma=1.0,
                          steps=100_000)
-        g, stats = generate_g(params, seed=12)
-        inputs = empirical_bound_inputs(g)
+        g, planted, stats = generate_g(params, seed=12)
+        inputs = empirical_bound_inputs(g, planted)
         n = g.num_edges
         for i in range(2):
             p_i = profile.probability((i,))

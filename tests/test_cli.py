@@ -257,6 +257,14 @@ def test_experiment_option_error_exit_code(tmp_path, capsys, text, key):
     ("model: h\np_ve: 1\nm: 0\n", "m"),
     ("model: g\np: 1.5\nmembership: 0.5,0.5\nx: constant(2); constant(2)\n0: 0.5\n1: 0.5\n", "p"),
     ("model: g\np: 0.5\nmembership: 0.5,0.5\nx: constant(2)\n0: 0.5\n1: 0.5\n", "x"),
+    # non-finite numbers pass every range check written as a comparison
+    ("model: h\np_ve: 1\ny: constant(2)\ngamma: nan\n", "gamma"),
+    ("model: h\np_ve: 1\ny: constant(2)\ngamma: inf\n", "gamma"),
+    ("model: g\np: 0.5\nmembership: nan,nan\nx: constant(2); constant(2)\n0: 0.5\n1: 0.5\n",
+     "membership"),
+    ("model: g\np: 0.5\nmembership: 0.5,0.5\nx: constant(2); constant(2)\n0: nan\n1: 0.5\n", "0"),
+    ("model: h\np_ve: 1\ny: shifted_poisson(nan,2)\n", "y"),
+    ("model: h\np_ve: 0.5\np_e: 0.5\ny: constant(2)\nx: categorical(2:nan,3:0.5)\n", "x"),
 ])
 def test_model_config_error_names_key(tmp_path, capsys, text, key):
     cfg = write(tmp_path, text, "model.cfg")
@@ -272,9 +280,9 @@ def test_model_config_error_names_key(tmp_path, capsys, text, key):
     (["oracle"], "model: h\np_e: 1\nx: constant(2)\n", ["p_v", "p_ve"]),
     (["predict"], "model: g\np: 1\nmembership: 0.5,0.5\nx: constant(2); constant(2)\n"
                   "0: 0.5\n1: 0.5\n", ["p"]),
-    (["oracle", "--kmax", "3"], "model: h\np_ve: 1\ny: constant(2)\nm: 5\n", ["k_max", "m"]),
+    (["oracle", "--kmax", "3"], "model: h\np_ve: 1\ny: constant(2)\nm: 5\n", ["--kmax", "m"]),
     (["predict"], "model: g\np: 0.5\nmembership: 0.5,0.5\nx: constant(2); constant(2)\n0: 1\n",
-     ["profile"]),
+     ["i,j: prob"]),
 ], ids=["predict_degenerate_h", "oracle_no_vertices", "predict_g_p_one", "oracle_kmax_below_m",
         "predict_g_untouched_community"])
 def test_degenerate_model_config_exit_code(tmp_path, capsys, args, text, keys):

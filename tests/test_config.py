@@ -1,7 +1,13 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from hypermod import GParams, HParams
 from hypermod.config import (
+    _EXPERIMENT_KEYS,
+    _G_KEYS,
+    _H_KEYS,
     ConfigError,
     parse_distribution,
     parse_experiment_config,
@@ -132,3 +138,18 @@ def test_experiment_unknown_kind(tmp_path):
 def test_experiment_unknown_key(tmp_path):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_experiment_config(write(tmp_path, "kind: example_regressions\nfoo: 1\n"))
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
+    keys = {*_H_KEYS, *_G_KEYS}
+    for own, h_keys in _EXPERIMENT_KEYS.values():
+        keys.update(own, h_keys)
+    # a key is documented by an example line "key: ..." or inside a `code` span
+    examples = re.findall(r"```[^\n]*\n(.*?)```", section, re.S)
+    documented = {line.split(":")[0] for block in examples for line in block.splitlines()}
+    for span in re.findall(r"`([^`]*)`", re.sub(r"```.*?```", "", section, flags=re.S)):
+        documented.update(re.findall(r"\w+", span))
+    missing = sorted(keys - documented)
+    assert not missing, f"README's config section does not mention {missing}"

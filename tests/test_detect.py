@@ -77,7 +77,7 @@ def test_never_beats_brute_force_on_small_instances():
 
 def test_planted_two_uniform_blocks_near_tight_score():
     params = uniform_block_params(10, 0.0, 2, 0.25, 1.0, 2000)
-    g, _ = generate_g(params, seed=5)
+    g, _, _ = generate_g(params, seed=5)
     part = detect_communities(flatten(g), seed=5)
     assert hypergraph_modularity_score(g, part).score == pytest.approx(0.9, abs=0.05)
 

@@ -4,6 +4,7 @@ import pytest
 
 from hypermod import (
     CardinalityDistribution,
+    HParams,
     community_marginals,
     generate_g,
 )
@@ -34,7 +35,7 @@ def test_diagonal_profile_mass_split():
 def test_uniform_block_params_targets_vertex_count():
     params = uniform_block_params(10, 0.2, 2, 0.25, 1.0, 5000)
     assert params.steps == math.ceil((5000 - 10) / 0.25)
-    g, _ = generate_g(params, seed=0)
+    g, _, _ = generate_g(params, seed=0)
     assert abs(g.num_vertices - 5000) < 4 * math.sqrt(params.steps * 0.25 * 0.75)
 
 
@@ -83,9 +84,8 @@ def test_g_vs_avin_small():
 
 def test_beta_sweep_small():
     options = {
-        "gamma_values": [0.0, 2.0], "steps": 20_000,
-        "p_v": 0.0, "p_ve": 0.5, "p_e": [0.5],
-        "y": CONST(3), "x": [CONST(3)], "m": 1,
+        "gamma_values": [0.0, 2.0],
+        "params": HParams(0.0, 0.5, [0.5], CONST(3), [CONST(3)], edges_per_event=1, steps=20_000),
     }
     header, rows = beta_sweep(options, replicas=2, seed=4)
     assert header == ["gamma", "beta_theory", "beta_hat_mean", "beta_hat_sd"]
@@ -104,8 +104,9 @@ def test_example_regressions_rows_are_exact():
 
 def test_recurrence_check_rows():
     options = {
-        "k_max": 6, "steps": 5000, "p_v": 0.3, "p_ve": 0.3, "p_e": [0.4],
-        "y": CONST(3), "x": [CONST(3)], "m": 1, "gamma": 1.0,
+        "k_max": 6,
+        "params": HParams(0.3, 0.3, [0.4], CONST(3), [CONST(3)], edges_per_event=1, gamma=1.0,
+                          steps=5000),
     }
     header, rows = recurrence_check(options, replicas=5, seed=6)
     assert header == ["k", "per_vertex_limit", "empirical_mean", "empirical_stderr", "z"]

@@ -149,20 +149,20 @@ def test_generated_community_run_roundtrip(tmp_path):
     profile = InterCommunityProfile({(0,): 0.55, (1,): 0.25, (0, 1): 0.2}, 2)
     params = GParams(0.35, [0.5, 0.5], profile,
                      [CardinalityDistribution.constant(3)] * 2, gamma=1.0, steps=10_000)
-    g, _ = generate_g(params, seed=21)
+    g, planted, _ = generate_g(params, seed=21)
     hpath, cpath = tmp_path / "g.txt", tmp_path / "c.tsv"
     write_hypergraph(g, hpath)
-    write_labels(g.community, cpath)
+    write_labels(planted.block_of, cpath)
     back = parse_hypergraph(hpath)
-    back.set_communities(parse_labels(cpath, back.num_vertices), 2)
+    loaded_part = Partition(parse_labels(cpath, back.num_vertices), 2)
     assert back.num_vertices == g.num_vertices
     assert back.degree_histogram().counts == g.degree_histogram().counts
-    planted = Partition(list(g.community), 2)
     assert hypergraph_modularity_score(back, planted).score == pytest.approx(
         hypergraph_modularity_score(g, planted).score, abs=1e-15
     )
     # per-community degree histograms survive the round trip
     for j in range(2):
-        orig = sorted(g.degrees[v] for v in range(g.num_vertices) if g.community[v] == j)
-        loaded = sorted(back.degrees[v] for v in range(back.num_vertices) if back.community[v] == j)
+        orig = sorted(g.degrees[v] for v in range(g.num_vertices) if planted.block_of[v] == j)
+        loaded = sorted(back.degrees[v] for v in range(back.num_vertices)
+                        if loaded_part.block_of[v] == j)
         assert orig == loaded

@@ -63,19 +63,19 @@ class TestProfile:
 
 
 def test_zero_steps_seed_hypergraph():
-    g, _ = generate_g(make_gparams(steps=0), seed=0)
+    g, planted, _ = generate_g(make_gparams(steps=0), seed=0)
     assert g.num_vertices == 2 and g.num_edges == 2
-    assert g.community == [0, 1]
+    assert planted.block_of == [0, 1]
     assert g.edges == [(0,), (1,)]
 
 
 def test_vertices_only_when_p_is_one():
     profile = InterCommunityProfile({(0,): 0.7, (1,): 0.3}, 2)
     params = GParams(1.0, [0.7, 0.3], profile, [CONST(2), CONST(2)], steps=400)
-    g, stats = generate_g(params, seed=1)
+    g, planted, stats = generate_g(params, seed=1)
     assert g.num_edges == 2
     assert g.num_vertices == 402
-    sizes = Counter(g.community)
+    sizes = Counter(planted.block_of)
     # multinomial(400, M) + 1 per community
     for j, m in enumerate([0.7, 0.3]):
         mean = 400 * m + 1
@@ -86,18 +86,18 @@ def test_vertices_only_when_p_is_one():
 def test_singleton_profile_keeps_edges_within_communities():
     profile = InterCommunityProfile({(0,): 0.5, (1,): 0.5}, 2)
     params = GParams(0.3, [0.5, 0.5], profile, [CONST(3), CONST(3)], gamma=1.0, steps=2000)
-    g, _ = generate_g(params, seed=2)
+    g, planted, _ = generate_g(params, seed=2)
     for e in g.edges:
-        assert len({g.community[v] for v in e}) == 1
+        assert len({planted.block_of[v] for v in e}) == 1
 
 
 def test_forced_pair_profile_gives_one_vertex_per_community():
     profile = InterCommunityProfile({(0, 1): 1.0}, 2)
     params = GParams(0.3, [0.5, 0.5], profile, [CONST(1), CONST(1)], gamma=1.0, steps=1000)
-    g, _ = generate_g(params, seed=3)
+    g, planted, _ = generate_g(params, seed=3)
     for e in g.edges[2:]:
         assert len(e) == 2
-        assert sorted(g.community[v] for v in e) == [0, 1]
+        assert sorted(planted.block_of[v] for v in e) == [0, 1]
 
 
 def test_realized_community_sets_match_profile_frequencies():
@@ -105,9 +105,9 @@ def test_realized_community_sets_match_profile_frequencies():
         {(0,): 0.35, (1,): 0.2, (2,): 0.15, (0, 1): 0.2, (1, 2): 0.1}, 3
     )
     params = GParams(0.2, [1 / 3] * 3, profile, [CONST(2)] * 3, gamma=1.0, steps=100_000)
-    g, stats = generate_g(params, seed=4)
+    g, planted, stats = generate_g(params, seed=4)
     observed = Counter(
-        tuple(sorted({g.community[v] for v in e})) for e in g.edges[3:]
+        tuple(sorted({planted.block_of[v] for v in e})) for e in g.edges[3:]
     )
     n = sum(observed.values())
     assert n == stats.event_counts["hyperedge"]
@@ -120,8 +120,8 @@ def test_realized_community_sets_match_profile_frequencies():
 
 def test_community_sizes_multinomial():
     params = make_gparams(p=0.5, steps=20_000)
-    g, stats = generate_g(params, seed=5)
-    sizes = Counter(g.community)
+    g, planted, stats = generate_g(params, seed=5)
+    sizes = Counter(planted.block_of)
     n = stats.event_counts["vertex"]
     stat = sum(
         (sizes[j] - 1 - n * m) ** 2 / (n * m) for j, m in enumerate(params.membership)
@@ -132,8 +132,8 @@ def test_community_sizes_multinomial():
 def test_crossing_fraction_converges_to_alpha():
     profile = InterCommunityProfile({(0,): 0.45, (1,): 0.25, (0, 1): 0.3}, 2)
     params = GParams(0.3, [0.5, 0.5], profile, [CONST(2), CONST(2)], gamma=1.0, steps=50_000)
-    g, stats = generate_g(params, seed=6)
-    crossing = sum(1 for e in g.edges[2:] if len({g.community[v] for v in e}) >= 2)
+    g, planted, stats = generate_g(params, seed=6)
+    crossing = sum(1 for e in g.edges[2:] if len({planted.block_of[v] for v in e}) >= 2)
     alpha = 1 - (0.45 + 0.25)
     n = stats.event_counts["hyperedge"]
     sigma = math.sqrt(alpha * (1 - alpha) / n)
@@ -145,7 +145,7 @@ def test_single_community_reduction_is_bit_identical():
     gparams = GParams(0.5, [1.0], profile, [CONST(3)], gamma=1.0, steps=5000)
     hparams = HParams(0.5, 0.0, [0.5], CONST(1), [CONST(3)], edges_per_event=1,
                       gamma=1.0, steps=5000)
-    g, _ = generate_g(gparams, seed=42)
+    g, _, _ = generate_g(gparams, seed=42)
     h, _ = generate_h(hparams, seed=42)
     assert g.edges == h.edges
     assert g.num_vertices == h.num_vertices
@@ -168,13 +168,15 @@ def _reference_select(occ, pool, count, gamma, rng):
     return out
 
 
-def _reference_g_step(g, params, urns, rng):
+def _reference_g_step(g, community, params, urns, rng):
     """One step of the community process whose urns ``[(occ, pool), ...]``
-    grow one membership at a time, each routed by the vertex's label."""
+    grow one membership at a time, each routed by the vertex's label in
+    ``community``."""
     r = params.num_communities
     if rng.random() < params.p_vertex:
         j = 0 if r == 1 else bisect_right(cumulative(params.membership), rng.random())
-        urns[j][1].append(g.add_vertex(community=j))
+        urns[j][1].append(g.add_vertex())
+        community.append(j)
         return ("vertex", j)
     subset = params.profile.sample(rng)
     members = []
@@ -184,7 +186,7 @@ def _reference_g_step(g, params, urns, rng):
         members.extend(_reference_select(*urns[c], count, params.gamma, rng))
     g.add_hyperedge(members)
     for v in members:
-        urns[g.community[v]][0].append(v)
+        urns[community[v]][0].append(v)
     return ("hyperedge", subset)
 
 
@@ -193,10 +195,11 @@ def _reference_generate_g(params, seed):
     params.validate()
     rng = make_rng(seed)
     r = params.num_communities
-    g = Hypergraph(num_communities=r)
+    g = Hypergraph()
+    community = list(range(r))
     urns = []
     for j in range(r):
-        v = g.add_vertex(community=j)
+        v = g.add_vertex()
         g.add_hyperedge([v])
         urns.append(([v], [v]))
     records, community_records, event_counts = [], [], {}
@@ -209,11 +212,11 @@ def _reference_generate_g(params, seed):
     record(0)
     marks = checkpoint_times(params.steps)
     for t in range(1, params.steps + 1):
-        kind = _reference_g_step(g, params, urns, rng)[0]
+        kind = _reference_g_step(g, community, params, urns, rng)[0]
         event_counts[kind] = event_counts.get(kind, 0) + 1
         if t in marks:
             record(t)
-    return g, (records, community_records, event_counts), rng
+    return g, community, (records, community_records, event_counts), rng
 
 
 THREE = InterCommunityProfile(
@@ -247,25 +250,27 @@ def test_generate_g_matches_reference(monkeypatch, params):
 
     monkeypatch.setattr(geng, "make_rng", recording_rng)
     monkeypatch.setattr(geng, "PreferentialSelector", RecordingSelector)
-    g, stats = generate_g(params, seed=21)
-    ref, (records, community_records, event_counts), ref_rng = _reference_generate_g(params, 21)
+    g, planted, stats = generate_g(params, seed=21)
+    ref, ref_community, (records, community_records, event_counts), ref_rng = (
+        _reference_generate_g(params, 21)
+    )
     assert g.edges == ref.edges
-    assert g.community == ref.community
+    assert planted.block_of == ref_community
     assert stats.records == records
     assert stats.community_records == community_records
     assert stats.event_counts == event_counts
     assert rngs[0].getstate() == ref_rng.getstate()
     # every urn holds exactly its community's memberships, in order
     for j, urn in enumerate(urns):
-        assert list(urn.occurrences) == [v for v in g.members if g.community[v] == j]
-        assert urn.members == [v for v in range(g.num_vertices) if g.community[v] == j]
+        assert list(urn.occurrences) == [v for v in g.members if planted.block_of[v] == j]
+        assert urn.members == [v for v in range(g.num_vertices) if planted.block_of[v] == j]
 
 
 def test_degree_cache_consistent_after_run():
-    g, _ = generate_g(make_gparams(steps=3000), seed=7)
+    g, planted, _ = generate_g(make_gparams(steps=3000), seed=7)
     assert g.degrees == g.recomputed_degrees()
     assert g.degree_sum == sum(len(e) for e in g.edges)
-    assert len(g.community) == g.num_vertices
+    assert len(planted) == g.num_vertices
 
 
 class TestReduceCommunity:
@@ -327,7 +332,7 @@ def test_expected_size_pmf_matches_empirical():
     )
     pmf = expected_cardinality_size_pmf(params)
     assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-9)
-    g, stats = generate_g(params, seed=8)
+    g, _, stats = generate_g(params, seed=8)
     observed = Counter(len(e) for e in g.edges[2:])
     n = stats.event_counts["hyperedge"]
     for size, p in pmf.items():

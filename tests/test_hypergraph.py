@@ -19,26 +19,6 @@ def test_vertex_ids_are_contiguous():
     assert h.add_vertex() == 5
 
 
-def test_labeled_vertex_gets_its_community():
-    h = Hypergraph(num_communities=3)
-    v = h.add_vertex(community=2)
-    assert h.community[v] == 2
-
-
-def test_labeled_hypergraph_requires_label():
-    h = Hypergraph(num_communities=3)
-    with pytest.raises(ValueError):
-        h.add_vertex()
-    with pytest.raises(ValueError):
-        h.add_vertex(community=3)
-
-
-def test_unlabeled_hypergraph_rejects_label():
-    h = Hypergraph()
-    with pytest.raises(ValueError):
-        h.add_vertex(community=0)
-
-
 def test_self_loop_multiplicity_counts_twice():
     h = Hypergraph()
     h.add_vertex()
@@ -115,14 +95,3 @@ def test_degree_cache_matches_recount_after_random_ops():
     assert sum(hist.counts.values()) == hist.total_vertices == h.num_vertices
     assert all(len(e) == sum(e.count(v) for v in set(e)) for e in h.edges)
 
-
-def test_set_communities_roundtrip_and_validation():
-    h = Hypergraph()
-    for _ in range(4):
-        h.add_vertex()
-    h.set_communities([0, 1, 1, 0])
-    assert h.num_communities == 2
-    with pytest.raises(ValueError):
-        h.set_communities([0, 1])
-    with pytest.raises(ValueError):
-        h.set_communities([0, 1, 2, 5], num_communities=3)

@@ -1,13 +1,25 @@
-"""Property tests of the flat hypergraph store and the code that reads it."""
+"""Property tests of the flat hypergraph store, the code that reads it, and
+the CLI's handling of malformed input."""
 
+import io
 import tempfile
+from contextlib import redirect_stderr
 from math import comb
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermod import Hypergraph, flatten
+from hypermod import (
+    Hypergraph,
+    Partition,
+    detect_communities,
+    flatten,
+    hypergraph_modularity_score,
+    weighted_graph_modularity,
+)
+from hypermod.cli import run_cli
 from hypermod.files import parse_hypergraph, write_hypergraph
 
 # An operation is ("vertex", None) or ("edge", raw ids), each followed by a
@@ -84,3 +96,121 @@ def test_flatten_weight_counts_distinct_member_pairs(ops):
     h, added = build(ops)
     wg = flatten(h)
     assert wg.total_weight == sum(comb(len(set(e)), 2) for e in added)
+
+
+@given(OPS, st.data())
+def test_strict_score_ignores_block_names(ops, data):
+    h, _ = build(ops)
+    n = h.num_vertices
+    part = Partition(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), 4)
+    perm = data.draw(st.permutations(range(4)))
+    renamed = Partition([perm[b] for b in part.block_of], 4)
+    assert hypergraph_modularity_score(h, renamed).score == pytest.approx(
+        hypergraph_modularity_score(h, part).score, abs=1e-12)
+
+
+@given(OPS)
+def test_one_block_scores_zero(ops):
+    h, _ = build(ops)
+    score = hypergraph_modularity_score(h, Partition.one_block(h.num_vertices)).score
+    assert score == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=50)
+@given(OPS, st.integers(0, 100))
+def test_detection_never_below_singletons(ops, seed):
+    h, _ = build(ops)
+    wg = flatten(h)
+    q = weighted_graph_modularity(wg, detect_communities(wg, seed=seed))
+    assert q >= weighted_graph_modularity(wg, Partition.singletons(h.num_vertices)) - 1e-12
+
+
+# Malformed input for the CLI: well-formed input with one fault that every
+# reader must reject. Vertex ids and block ids stay small, because a file
+# may legitimately name a vertex or block that many entries must exist for.
+G_MODEL = "model: g\np: 0.5\nmembership: 0.5,0.5\nx: constant(2); constant(2)\n0: 0.5\n1: 0.5\n"
+# each valid config with the commands that read it
+CONFIGS = [
+    ("model: h\np_v: 0.2\np_ve: 0.4\np_e: 0.4\ny: shifted_poisson(1.5,2)\n"
+     "x: categorical(2:0.7,5:0.3)\nm: 2\ngamma: 1\nsteps: 10\n",
+     [["predict"], ["generate-h", "--out", "{d}/out"], ["oracle", "--out", "{d}/out"]]),
+    (G_MODEL, [["predict"], ["generate-g", "--out", "{d}/out"], ["bounds"]]),
+    ("kind: recurrence_check\nreplicas: 2\nsteps: 10\nk_max: 5\np_v: 0.3\np_ve: 0.3\n"
+     "p_e: 0.4\ny: constant(3)\nx: constant(3)\nm: 1\ngamma: 1\n",
+     [["experiment", "--out", "{d}/out"]]),
+    ("kind: beta_sweep\nsteps: 10\ngamma_values: 0, 1\np_ve: 1\ny: categorical(2:0.5,3:0.5)\n",
+     [["experiment", "--out", "{d}/out"]]),
+    ("kind: fig1_bound_vs_detected\nuniformity: 2\ncommunities: 2\nalphas: 0, 0.5\np: 0.5\n"
+     "gamma: 1\ntarget_vertices: 10\n", [["experiment", "--out", "{d}/out"]]),
+]
+
+
+@st.composite
+def malformed_config(draw):
+    """A config of ``CONFIGS`` with one value made non-finite or one bad line
+    added, and a command that reads it."""
+    text, commands = draw(st.sampled_from(CONFIGS))
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    if draw(st.booleans()):
+        key = lines[i].split(":")[0]
+        lines[i] = f"{key}: {draw(st.sampled_from(['nan', 'inf', '-inf', '1e999']))}"
+    else:
+        lines.insert(i, draw(st.sampled_from(["no separator", ": 1", lines[i]])))
+    return "\n".join(lines) + "\n", draw(st.sampled_from(commands))
+
+
+EDGE_LINES = st.lists(st.integers(0, 12), min_size=1, max_size=5).map(
+    lambda ids: " ".join(map(str, ids)))
+EDGE_FAULTS = st.sampled_from(["x", "1 -2", "0 1.5", "#vertices", "#vertices -1",
+                               "#vertices 1 2", "3 a 4"])
+LABEL_LINES = st.builds("{}\t{}".format, st.integers(0, 12), st.integers(0, 3))
+LABEL_FAULTS = st.sampled_from(["0", "a\t0", "0\t-1", "0\t0\t0", "0\tx", "99\t0"])
+
+
+def with_fault(lines, fault):
+    """``lines`` with ``fault`` inserted at a drawn position, as file text."""
+    return st.tuples(lines, fault, st.integers(0, 10)).map(
+        lambda t: "\n".join(t[0][:t[2]] + [t[1]] + t[0][t[2]:]) + "\n")
+
+
+def rejects(files, argv):
+    """Run the CLI on ``files`` ({name: text}); it must fail with one line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = run_cli([a.format(d=tmp) for a in argv])
+        assert not list(Path(tmp).glob("out*"))
+    assert code in (1, 2)
+    assert err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed_config())
+def test_cli_rejects_malformed_config(config):
+    text, command = config
+    rejects({"cfg": text}, command[:1] + ["--config", "{d}/cfg"] + command[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(with_fault(st.lists(EDGE_LINES, max_size=8), EDGE_FAULTS),
+       st.sampled_from([["detect"], ["flatten", "--out", "{d}/out"], ["fit-powerlaw"],
+                        ["modularity", "--partition", "{d}/labels"]]))
+def test_cli_rejects_malformed_hyperedge_file(text, command):
+    files = {"h.txt": text, "labels": "0\t0\n"}
+    rejects(files, command[:1] + ["--input", "{d}/h.txt"] + command[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(EDGE_LINES, max_size=8),
+       with_fault(st.lists(LABEL_LINES, max_size=8), LABEL_FAULTS), st.booleans())
+def test_cli_rejects_malformed_label_file(edges, labels, bounds):
+    files = {"h.txt": "\n".join(edges) + "\n", "labels": labels, "g.cfg": G_MODEL}
+    if bounds:
+        argv = ["bounds", "--config", "{d}/g.cfg", "--input", "{d}/h.txt",
+                "--communities", "{d}/labels"]
+    else:
+        argv = ["modularity", "--input", "{d}/h.txt", "--partition", "{d}/labels"]
+    rejects(files, argv)
