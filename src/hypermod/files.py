@@ -97,7 +97,10 @@ def parse_labels(path, num_vertices):
 
 
 def parse_partition(path, num_vertices):
-    return Partition(parse_labels(path, num_vertices))
+    """Read a partition, renumbering block ids by rank: no block is empty."""
+    labels = parse_labels(path, num_vertices)
+    rank = {b: i for i, b in enumerate(sorted(set(labels)))}
+    return Partition([rank[b] for b in labels], len(rank))
 
 
 def write_partition(part, path):

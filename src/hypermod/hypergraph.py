@@ -100,9 +100,3 @@ class Hypergraph:
         counts = Counter(self.degrees)
         return DegreeHistogram(dict(counts), self.num_vertices)
 
-    def recomputed_degrees(self):
-        """Fresh degree count from the member array, for validating ``degrees``."""
-        deg = [0] * self.num_vertices
-        for v in self.members:
-            deg[v] += 1
-        return deg

@@ -17,8 +17,7 @@ MAX_LEVELS = 32  # cap on aggregation levels; detection stops sooner once a leve
 
 def _one_level(adj, k, total, order):
     """Greedy local moving; returns (block assignment, any move happened)."""
-    n = len(adj)
-    block = list(range(n))
+    block = list(range(len(adj)))
     vol = list(k)
     two_m2 = 2.0 * total * total
     improved = False
@@ -56,25 +55,20 @@ def _one_level(adj, k, total, order):
             return block, improved
 
 
-def _aggregate(adj, self_w, block, num_blocks):
-    """Collapse blocks into supervertices, accumulating weights."""
+def _aggregate(adj, k, block, num_blocks):
+    """Collapse blocks into supervertices; each one's degree is the sum of
+    its members' degrees, so weight inside a block needs no self-loop."""
     new_adj = [dict() for _ in range(num_blocks)]
-    new_self = [0.0] * num_blocks
-    for v, s in enumerate(self_w):
-        new_self[block[v]] += s
-    for v in range(len(adj)):
+    new_k = [0.0] * num_blocks
+    for v, kv in enumerate(k):
+        new_k[block[v]] += kv
+    for v, nbrs in enumerate(adj):
         bv = block[v]
-        for u, w in adj[v].items():
-            if u < v:
-                continue
+        for u, w in nbrs.items():
             bu = block[u]
-            if bu == bv:
-                new_self[bv] += w
-            else:
+            if bu != bv:
                 new_adj[bv][bu] = new_adj[bv].get(bu, 0.0) + w
-                new_adj[bu][bv] = new_adj[bu].get(bv, 0.0) + w
-    new_k = [2.0 * new_self[b] + sum(new_adj[b].values()) for b in range(num_blocks)]
-    return new_adj, new_self, new_k
+    return new_adj, new_k
 
 
 def detect_communities(graph, seed=0):
@@ -85,29 +79,31 @@ def detect_communities(graph, seed=0):
     partition.
     """
     n = graph.num_vertices
-    if not graph.weights:
-        return Partition.singletons(n)
-    adj = [dict() for _ in range(n)]
-    for (u, v), w in graph.weights.items():
-        adj[u][v] = adj[u].get(v, 0.0) + w
-        adj[v][u] = adj[v].get(u, 0.0) + w
-    self_w = [0.0] * n
-    k = [sum(d.values()) for d in adj]
     total = graph.total_weight
+    if total == 0:
+        return Partition.singletons(n)
+    # Level 0 walks graph.adj itself. Flattened weights are integer counts and
+    # every sum stays below 2**53, so no order of additions changes a value;
+    # candidate blocks are visited in sorted order.
+    adj = graph.adj
+    k = [sum(nbrs.values()) for nbrs in adj]
     rng = random.Random(seed)
 
     labels = list(range(n))
     for _level in range(MAX_LEVELS):
         order = list(range(len(adj)))
         rng.shuffle(order)
+        # a vertex without edges never moves, so it is not visited
+        order = [v for v in order if adj[v]]
         block, improved = _one_level(adj, k, total, order)
         level = Partition(block).relabeled()
         labels = [level.block_of[b] for b in labels]
         if not improved or level.num_blocks == len(adj):
             break
-        adj, self_w, k = _aggregate(adj, self_w, level.block_of, level.num_blocks)
+        adj, k = _aggregate(adj, k, level.block_of, level.num_blocks)
 
-    part = Partition(labels).relabeled()
+    # each level's relabeling is by first appearance, and so is their composition
+    part = Partition(labels)
     if weighted_graph_modularity(graph, part) < 0.0:
         return Partition.one_block(n)
     return part

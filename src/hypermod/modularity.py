@@ -10,7 +10,6 @@ edges scores 0 by convention.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 
 class Partition:
@@ -209,27 +208,27 @@ def brute_force_modularity(h, max_vertices=12):
 
 
 class WeightedGraph:
-    """Undirected weighted graph on dense vertex ids, no self-loops."""
+    """Undirected weighted graph on dense vertex ids, no self-loops.
+
+    Stored only as ``adj``: ``adj[u][v] == adj[v][u]`` is the weight of {u, v}.
+    """
 
     def __init__(self, num_vertices):
         self.num_vertices = num_vertices
-        self.weights = {}
+        self.adj = [{} for _ in range(num_vertices)]
 
-    def add_weight(self, u, v, w):
-        if u == v:
-            raise ValueError("self-loops are not stored")
-        if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-            raise ValueError(f"invalid edge ({u}, {v})")
-        key = (u, v) if u < v else (v, u)
-        self.weights[key] = self.weights.get(key, 0.0) + w
+    @property
+    def weights(self):
+        """Every edge once, as ``{(u, v): weight}`` with ``u < v``."""
+        return {(u, v): w for u, nbrs in enumerate(self.adj) for v, w in nbrs.items() if u < v}
 
     @property
     def total_weight(self):
-        return sum(self.weights.values())
+        return sum(sum(nbrs.values()) for nbrs in self.adj) / 2
 
     def edge_list(self):
-        """Deterministically ordered (u, v, weight) triples."""
-        return [(u, v, w) for (u, v), w in sorted(self.weights.items())]
+        """Deterministically ordered (u, v, weight) triples, weights as floats."""
+        return [(u, v, float(w)) for (u, v), w in sorted(self.weights.items())]
 
 
 def flatten(h):
@@ -237,13 +236,17 @@ def flatten(h):
 
     Every unordered pair of distinct members contributes weight 1;
     repeated appearances of a vertex inside one hyperedge contribute
-    nothing on their own.
+    nothing on their own. Weights are integer counts.
     """
-    counts = Counter(
-        pair for e in h.edge_members() for pair in combinations(sorted(set(e)), 2)
-    )
     wg = WeightedGraph(h.num_vertices)
-    wg.weights = {pair: float(c) for pair, c in counts.items()}
+    adj = wg.adj
+    for e in h.edge_members():
+        distinct = set(e)
+        for u in distinct:
+            nbrs = adj[u]
+            for v in distinct:
+                if v != u:
+                    nbrs[v] = nbrs.get(v, 0) + 1
     return wg
 
 
@@ -257,12 +260,14 @@ def weighted_graph_modularity(wg, part):
     block_of = part.block_of
     internal = 0.0
     vol = [0.0] * part.num_blocks
-    for (u, v), w in wg.weights.items():
-        vol[block_of[u]] += w
-        vol[block_of[v]] += w
-        if block_of[u] == block_of[v]:
-            internal += w
-    q = internal / total
+    for u, nbrs in enumerate(wg.adj):
+        bu = block_of[u]
+        for v, w in nbrs.items():
+            vol[bu] += w
+            if block_of[v] == bu:
+                internal += w
+    # adj holds each edge twice, so internal is twice the internal weight
+    q = internal / (2.0 * total)
     for x in vol:
         q -= (x / (2.0 * total)) ** 2
     return q

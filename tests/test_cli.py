@@ -93,6 +93,17 @@ def test_modularity_subcommand_matches_library(tmp_path, capsys):
     assert float(score_line.split(":")[1]) == pytest.approx(best_q, abs=1e-12)
 
 
+def test_modularity_counts_distinct_block_ids(tmp_path, capsys):
+    hpath = write(tmp_path, "0 1\n", "h.txt")
+    lines = {}
+    for name, text in (("sparse", "0\t0\n1\t4000000\n"), ("dense", "0\t0\n1\t1\n")):
+        ppath = write(tmp_path, text, name)
+        assert run_cli(["modularity", "--input", hpath, "--partition", ppath]) == 0
+        lines[name] = capsys.readouterr().out.splitlines()
+    assert lines["sparse"] == lines["dense"]
+    assert "blocks: 2" in lines["sparse"]
+
+
 def test_detect_and_flatten(tmp_path, capsys):
     import itertools
 

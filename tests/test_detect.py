@@ -32,6 +32,25 @@ def clique_hypergraph(cliques, extra_edges=()):
     return h
 
 
+def weighted_graph(n, triples):
+    """A graph on ``n`` vertices from (u, v, weight) triples; repeated pairs add up."""
+    wg = WeightedGraph(n)
+    for u, v, w in triples:
+        wg.adj[u][v] = wg.adj[u].get(v, 0) + w
+        wg.adj[v][u] = wg.adj[v].get(u, 0) + w
+    return wg
+
+
+def random_triples(rng, n, count, weights):
+    """``count`` draws of a vertex pair, self-pairs dropped, each with a drawn weight."""
+    triples = []
+    for _ in range(count):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            triples.append((u, v, rng.choice(weights)))
+    return triples
+
+
 def test_two_cliques_recovered_exactly():
     h = clique_hypergraph([range(5), range(5, 10)])
     part = detect_communities(flatten(h), seed=0)
@@ -86,12 +105,8 @@ def test_result_at_least_singletons_and_one_block():
     rng = random.Random(6)
     for trial in range(15):
         n = rng.randint(3, 12)
-        wg = WeightedGraph(n)
-        for _ in range(rng.randint(1, 2 * n)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                wg.add_weight(u, v, rng.choice([1.0, 2.0]))
-        if not wg.weights:
+        wg = weighted_graph(n, random_triples(rng, n, rng.randint(1, 2 * n), [1.0, 2.0]))
+        if not wg.total_weight:
             continue
         part = detect_communities(wg, seed=trial)
         q = weighted_graph_modularity(wg, part)
@@ -107,11 +122,7 @@ def test_empty_graph_gives_singletons():
 
 def test_deterministic_for_fixed_seed():
     rng = random.Random(7)
-    wg = WeightedGraph(30)
-    for _ in range(80):
-        u, v = rng.randrange(30), rng.randrange(30)
-        if u != v:
-            wg.add_weight(u, v, 1.0)
+    wg = weighted_graph(30, random_triples(rng, 30, 80, [1.0]))
     a = detect_communities(wg, seed=11)
     b = detect_communities(wg, seed=11)
     assert a.block_of == b.block_of
@@ -122,20 +133,12 @@ def test_one_level_leaves_no_improving_move():
     moves_checked = 0
     for _ in range(120):
         n = rng.randint(4, 10)
-        wg = WeightedGraph(n)
-        for _ in range(rng.randint(3, 20)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                wg.add_weight(u, v, rng.choice([1.0, 2.0, 0.5]))
-        if not wg.weights:
+        wg = weighted_graph(n, random_triples(rng, n, rng.randint(3, 20), [1.0, 2.0, 0.5]))
+        if not wg.total_weight:
             continue
-        adj = [dict() for _ in range(n)]
-        for (u, v), w in wg.weights.items():
-            adj[u][v] = w
-            adj[v][u] = w
         order = list(range(n))
         rng.shuffle(order)
-        block, _ = _one_level(adj, [sum(d.values()) for d in adj], wg.total_weight, order)
+        block, _ = _one_level(wg.adj, [sum(d.values()) for d in wg.adj], wg.total_weight, order)
         part = Partition(block)
         q = weighted_graph_modularity(wg, part)
         assert q >= weighted_graph_modularity(wg, Partition.singletons(n))

@@ -135,6 +135,14 @@ def test_partition_roundtrip(tmp_path):
     assert parse_partition(path, 4) == part
 
 
+def test_partition_block_ids_become_ranks(tmp_path):
+    path = tmp_path / "part.tsv"
+    path.write_text("0\t7\n1\t3\n2\t7\n3\t90\n")
+    part = parse_partition(path, 4)
+    assert part.block_of == [1, 0, 1, 2]
+    assert part.num_blocks == 3
+
+
 def test_csv_formatting_is_repr_stable(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(path, ["a", "b"], [(0.1, 1), (1 / 3, "x")])

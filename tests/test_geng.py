@@ -22,6 +22,8 @@ from hypermod.geng import expected_cardinality_size_pmf
 from hypermod.hypergraph import Hypergraph
 from hypermod.sampling import PreferentialSelector, cumulative, make_rng
 
+from helpers import recomputed_degrees
+
 CONST = CardinalityDistribution.constant
 
 
@@ -268,7 +270,7 @@ def test_generate_g_matches_reference(monkeypatch, params):
 
 def test_degree_cache_consistent_after_run():
     g, planted, _ = generate_g(make_gparams(steps=3000), seed=7)
-    assert g.degrees == g.recomputed_degrees()
+    assert g.degrees == recomputed_degrees(g)
     assert g.degree_sum == sum(len(e) for e in g.edges)
     assert len(planted) == g.num_vertices
 

@@ -17,6 +17,8 @@ from hypermod.genh import (
 )
 from hypermod.sampling import make_rng
 
+from helpers import recomputed_degrees
+
 CONST = CardinalityDistribution.constant
 
 
@@ -71,7 +73,7 @@ def test_attachment_edges_contain_the_new_vertex():
             assert all(len(e) == 3 for e in added)
         elif tag == "vertex":
             assert h.num_vertices == n_before + 1 and h.num_edges == before
-    assert h.degrees == h.recomputed_degrees()
+    assert h.degrees == recomputed_degrees(h)
 
 
 def test_shared_cardinality_across_batch():

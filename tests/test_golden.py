@@ -2,8 +2,9 @@
 
 Small seeded runs cover both generators (gamma = 0 and > 0, m > 1,
 Poisson and categorical sizes, the cardinality cap, several communities
-with a cross-community profile) and the detect/score path on the `g`
-output. A changed hash means the output bytes changed for a fixed seed.
+with a cross-community profile), and the detect/score path and the
+flattened graph of the `g` output. A changed hash means the output
+bytes changed for a fixed seed.
 """
 
 import hashlib
@@ -66,6 +67,7 @@ CASES = {
         ["detect", "--input", "{d}/out_g.txt", "--seed", "2", "--out", "{d}/out_part.tsv"],
         ["modularity", "--input", "{d}/out_g.txt", "--partition", "{d}/out_part.tsv"],
         ["modularity", "--input", "{d}/out_g.txt", "--partition", "{d}/out_labels.tsv"],
+        ["flatten", "--input", "{d}/out_g.txt", "--out", "{d}/out_flat.csv"],
     ]),
 }
 
@@ -75,6 +77,8 @@ GOLDEN = {
         "stdout_1": "96aa59009365fbe8090d3bd41373f4aa8fcadd3764b5d45f9daf5e5ec0c9dc85",
         "stdout_2": "1b346bdc86edbcf97cf3a25c665dc9678a25efc85eed1ff096220f101eab9029",
         "stdout_3": "207514c4be7e3525eada6b1842b56c475c60fe5218dd62a873a6ee5f83bc9eb7",
+        "stdout_4": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out_flat.csv": "b7baaafbe9514699817b1f958ebbe79db81380d366d6e8b2ee3ead67a33eb9a0",
         "out_g.txt": "553de47dba7346b2aed5f303dbc79402550620399e0109fca92825fc38374e31",
         "out_labels.tsv": "31c8c5f49ae69bfbc9f771b283a5fe0ea4c2627718f861687232afade1f349ed",
         "out_part.tsv": "5c3ce0e6c6b30e33282595e22cc9fa63ab91ad023ffc56cd9a658da8f4b1e806",

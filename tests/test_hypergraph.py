@@ -4,6 +4,8 @@ import pytest
 
 from hypermod import Hypergraph
 
+from helpers import recomputed_degrees
+
 
 def test_first_vertex_of_empty_hypergraph():
     h = Hypergraph()
@@ -89,7 +91,7 @@ def test_degree_cache_matches_recount_after_random_ops():
     for _ in range(200):
         size = rng.randint(1, 6)
         h.add_hyperedge([rng.randrange(20) for _ in range(size)])
-    assert h.degrees == h.recomputed_degrees()
+    assert h.degrees == recomputed_degrees(h)
     assert h.degree_sum == sum(len(e) for e in h.edges)
     hist = h.degree_histogram()
     assert sum(hist.counts.values()) == hist.total_vertices == h.num_vertices

@@ -98,16 +98,21 @@ class TestHypergraphScore:
         assert res.score == pytest.approx(0.75)
 
     def test_two_uniform_matches_graph_definition(self):
+        # a multigraph keeps parallel edges and self-loops, as the 2-uniform score does
+        nx = pytest.importorskip("networkx")
         rng = random.Random(1)
         for _ in range(30):
             n = rng.randint(2, 9)
             h = build(n, [])
+            graph = nx.MultiGraph()
+            graph.add_nodes_from(range(n))
             for _ in range(rng.randint(1, 8)):
-                h.add_hyperedge([rng.randrange(n), rng.randrange(n)])
+                e = [rng.randrange(n), rng.randrange(n)]
+                h.add_hyperedge(e)
+                graph.add_edge(*e)
             part = Partition([rng.randrange(3) for _ in range(n)], 3)
-            a = hypergraph_modularity_score(h, part).score
-            b = graph_modularity_score(h, part).score
-            assert a == pytest.approx(b, abs=1e-12)
+            expected = nx.community.modularity(graph, [b for b in part.blocks() if b])
+            assert graph_modularity_score(h, part).score == pytest.approx(expected, abs=1e-12)
 
     def test_matches_naive_evaluation_on_random_instances(self):
         rng = random.Random(2)
@@ -202,6 +207,13 @@ class TestFlatten:
     def test_pure_self_loop_vanishes(self):
         wg = flatten(build(1, [[0, 0]]))
         assert wg.weights == {}
+
+    def test_adjacency_is_symmetric_and_views_derive_from_it(self):
+        wg = flatten(build(4, [[0, 1, 2], [2, 1], [3, 3]]))
+        assert wg.adj == [{1: 1, 2: 1}, {0: 1, 2: 2}, {0: 1, 1: 2}, {}]
+        assert wg.weights == {(0, 1): 1, (0, 2): 1, (1, 2): 2}
+        assert wg.total_weight == 4.0
+        assert wg.edge_list() == [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 2.0)]
 
     def test_weighted_modularity_of_flattened_matches_graph_score(self):
         # without multiplicities or self-loops flattening is the identity

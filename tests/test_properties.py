@@ -3,7 +3,9 @@ the CLI's handling of malformed input."""
 
 import io
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -21,6 +23,8 @@ from hypermod import (
 )
 from hypermod.cli import run_cli
 from hypermod.files import parse_hypergraph, write_hypergraph
+
+from helpers import recomputed_degrees
 
 # An operation is ("vertex", None) or ("edge", raw ids), each followed by a
 # flag saying whether to read the derived views right after it. Raw ids are
@@ -54,7 +58,7 @@ def build(ops, check=None):
 
 
 def check_views(h, added):
-    assert h.degrees == h.recomputed_degrees()
+    assert h.degrees == recomputed_degrees(h)
     assert h.edges == [tuple(sorted(e)) for e in added]
     assert h.num_edges == len(added)
     assert h.degree_sum == sum(map(len, added))
@@ -91,11 +95,35 @@ def test_file_round_trip_is_exact(ops, isolated, header):
             assert back.num_vertices == max(h.members, default=-1) + 1
 
 
+def flattened_pairs(added):
+    """Pair weights of the flattened graph, counted from the definition."""
+    return Counter(pair for e in added for pair in combinations(sorted(set(e)), 2))
+
+
 @given(OPS)
 def test_flatten_weight_counts_distinct_member_pairs(ops):
     h, added = build(ops)
     wg = flatten(h)
     assert wg.total_weight == sum(comb(len(set(e)), 2) for e in added)
+    assert wg.weights == flattened_pairs(added)
+    assert all(wg.adj[v][u] == w for u, nbrs in enumerate(wg.adj) for v, w in nbrs.items())
+
+
+@settings(max_examples=200)
+@given(OPS, st.data())
+def test_flattened_score_matches_networkx(ops, data):
+    nx = pytest.importorskip("networkx")
+    h, added = build(ops)
+    pairs = flattened_pairs(added)
+    if not pairs:
+        return
+    n = h.num_vertices
+    part = Partition(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), 4)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_weighted_edges_from((u, v, w) for (u, v), w in pairs.items())
+    expected = nx.community.modularity(graph, [b for b in part.blocks() if b], weight="weight")
+    assert weighted_graph_modularity(flatten(h), part) == pytest.approx(expected, abs=1e-12)
 
 
 @given(OPS, st.data())
@@ -123,6 +151,17 @@ def test_detection_never_below_singletons(ops, seed):
     wg = flatten(h)
     q = weighted_graph_modularity(wg, detect_communities(wg, seed=seed))
     assert q >= weighted_graph_modularity(wg, Partition.singletons(h.num_vertices)) - 1e-12
+
+
+@settings(max_examples=50)
+@given(OPS, st.integers(0, 100))
+def test_detection_keeps_edgeless_vertices_alone(ops, seed):
+    h, _ = build(ops)
+    wg = flatten(h)
+    part = detect_communities(wg, seed=seed)
+    sizes = Counter(part.block_of)
+    assert all(sizes[part.block_of[v]] == 1 for v in range(h.num_vertices) if not wg.adj[v])
+    assert part.block_of == part.relabeled().block_of
 
 
 # Malformed input for the CLI: well-formed input with one fault that every
