@@ -222,9 +222,9 @@ def _ks_distance(beta, k_min, tail_ks, tail_counts):
 def fit_tail_exponent(hist, k_min=None):
     """Fit a discrete power law to a degree histogram tail.
 
-    With ``k_min`` given, fits degrees >= k_min by exact discrete maximum
-    likelihood. Otherwise scans candidate cutoffs and keeps the one whose
-    fitted law is closest to the empirical tail in Kolmogorov-Smirnov
+    With ``k_min`` (>= 1) given, fits degrees >= k_min by exact discrete
+    maximum likelihood. Otherwise scans candidate cutoffs and keeps the one
+    whose fitted law is closest to the empirical tail in Kolmogorov-Smirnov
     distance. Degree-0 vertices never participate.
     """
     items = sorted((k, c) for k, c in hist.counts.items() if k >= 1 and c > 0)
@@ -233,6 +233,8 @@ def fit_tail_exponent(hist, k_min=None):
     ks = np.array([k for k, _ in items], dtype=float)
     counts = np.array([c for _, c in items], dtype=float)
     if k_min is not None:
+        if k_min < 1:
+            raise ValueError(f"k_min must be >= 1, got {k_min}")
         beta, n, _, _ = _fit_at(ks, counts, k_min)
         return TailFit(beta, int(k_min), n, (beta - 1.0) / math.sqrt(n))
     best = None

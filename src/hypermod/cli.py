@@ -196,15 +196,19 @@ def _cmd_experiment(args):
     return 0
 
 
-def _steps(text):
-    """``--steps`` value: a non-negative integer."""
-    try:
-        steps = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if steps < 0:
-        raise argparse.ArgumentTypeError(f"steps must be >= 0, got {steps}")
-    return steps
+def _int_at_least(name, lo):
+    """Argument type for an integer option ``name`` that must be >= ``lo``."""
+
+    def convert(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {lo}, got {value}")
+        return value
+
+    return convert
 
 
 def build_parser():
@@ -218,7 +222,7 @@ def build_parser():
     p = sub.add_parser("generate-h", help="run the general growth model")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=_steps, default=None)
+    p.add_argument("--steps", type=_int_at_least("steps", 0), default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--stats", default=None)
     p.set_defaults(func=_cmd_generate_h)
@@ -226,7 +230,7 @@ def build_parser():
     p = sub.add_parser("generate-g", help="run the community-structured model")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=_steps, default=None)
+    p.add_argument("--steps", type=_int_at_least("steps", 0), default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--communities", default=None)
     p.add_argument("--stats", default=None)
@@ -250,7 +254,7 @@ def build_parser():
 
     p = sub.add_parser("fit-powerlaw", help="fit a degree-tail exponent")
     p.add_argument("--input", required=True)
-    p.add_argument("--kmin", type=int, default=None)
+    p.add_argument("--kmin", type=_int_at_least("kmin", 1), default=None)
     p.set_defaults(func=_cmd_fit_powerlaw)
 
     p = sub.add_parser("predict", help="closed-form exponent prediction")

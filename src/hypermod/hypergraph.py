@@ -26,18 +26,15 @@ class Hypergraph:
     degree and toward the edge cardinality. Vertices are never removed;
     ids are dense in ``0..num_vertices-1``.
 
-    Everything else is derived: ``degree_sum`` and ``num_edges`` are
-    lengths, ``degrees`` is counted on demand and cached until the next
-    mutation, and ``edges`` is a list of sorted tuples built only when read
-    and then extended as edges arrive. Treat both as read-only.
+    Nothing else is stored: ``degree_sum`` and ``num_edges`` are lengths,
+    and ``degrees`` and ``edges`` are views rebuilt from the store on every
+    read, so a loop reads them once, before the loop.
     """
 
     def __init__(self):
         self.num_vertices = 0
         self.members = array("q")
         self.offsets = array("q", [0])
-        self._degrees = None
-        self._edges = []
 
     @property
     def num_edges(self):
@@ -50,22 +47,13 @@ class Hypergraph:
     @property
     def degrees(self):
         """Degree of every vertex, as a list."""
-        if self._degrees is None:
-            occ = np.frombuffer(self.members, dtype=np.int64)
-            self._degrees = np.bincount(occ, minlength=self.num_vertices).tolist()
-        return self._degrees
+        occ = np.frombuffer(self.members, dtype=np.int64)
+        return np.bincount(occ, minlength=self.num_vertices).tolist()
 
     @property
     def edges(self):
         """Hyperedges as sorted tuples, in insertion order."""
-        view = self._edges
-        if len(view) < self.num_edges:
-            members, offsets = self.members, self.offsets
-            view.extend(
-                tuple(sorted(members[offsets[i]:offsets[i + 1]]))
-                for i in range(len(view), self.num_edges)
-            )
-        return view
+        return [tuple(sorted(e)) for e in self.edge_members()]
 
     def edge_members(self):
         """Iterate the hyperedges' members in insertion order, one array slice each."""
@@ -80,7 +68,6 @@ class Hypergraph:
 
     def add_vertex(self):
         """Append a new isolated vertex, returning its id."""
-        self._degrees = None
         self.num_vertices += 1
         return self.num_vertices - 1
 
@@ -93,7 +80,6 @@ class Hypergraph:
             raise ValueError(f"invalid vertex id {lo if lo < 0 else hi}")
         self.members.extend(members)
         self.offsets.append(len(self.members))
-        self._degrees = None
         return len(self.offsets) - 2
 
     def degree_histogram(self):

@@ -8,19 +8,21 @@ are fully deterministic.
 """
 
 import random
+from collections import defaultdict
+from types import MappingProxyType
 
 from .modularity import Partition, weighted_graph_modularity
 
 MIN_GAIN = 1e-9
 MAX_LEVELS = 32  # cap on aggregation levels; detection stops sooner once a level moves nothing
+_NO_NEIGHBOURS = MappingProxyType({})  # the shared, read-only row of every supervertex without edges
 
 
 def _one_level(adj, k, total, order):
-    """Greedy local moving; returns (block assignment, any move happened)."""
+    """Greedy local moving; returns the block assignment."""
     block = list(range(len(adj)))
     vol = list(k)
     two_m2 = 2.0 * total * total
-    improved = False
     while True:
         moves = 0
         for v in order:
@@ -48,17 +50,17 @@ def _one_level(adj, k, total, order):
                 vol[best_b] += kv
                 block[v] = best_b
                 moves += 1
-                improved = True
             else:
                 vol[bv] += kv
         if moves == 0:
-            return block, improved
+            return block
 
 
 def _aggregate(adj, k, block, num_blocks):
     """Collapse blocks into supervertices; each one's degree is the sum of
-    its members' degrees, so weight inside a block needs no self-loop."""
-    new_adj = [dict() for _ in range(num_blocks)]
+    its members' degrees, so weight inside a block needs no self-loop.
+    Only a supervertex with an edge gets a dict of its own."""
+    rows = defaultdict(dict)
     new_k = [0.0] * num_blocks
     for v, kv in enumerate(k):
         new_k[block[v]] += kv
@@ -67,7 +69,9 @@ def _aggregate(adj, k, block, num_blocks):
         for u, w in nbrs.items():
             bu = block[u]
             if bu != bv:
-                new_adj[bv][bu] = new_adj[bv].get(bu, 0.0) + w
+                row = rows[bv]
+                row[bu] = row.get(bu, 0.0) + w
+    new_adj = [rows.get(b, _NO_NEIGHBOURS) for b in range(num_blocks)]
     return new_adj, new_k
 
 
@@ -79,14 +83,14 @@ def detect_communities(graph, seed=0):
     partition.
     """
     n = graph.num_vertices
-    total = graph.total_weight
-    if total == 0:
-        return Partition.singletons(n)
     # Level 0 walks graph.adj itself. Flattened weights are integer counts and
     # every sum stays below 2**53, so no order of additions changes a value;
     # candidate blocks are visited in sorted order.
     adj = graph.adj
     k = [sum(nbrs.values()) for nbrs in adj]
+    total = sum(k) / 2
+    if total == 0:
+        return Partition.singletons(n)
     rng = random.Random(seed)
 
     labels = list(range(n))
@@ -95,10 +99,11 @@ def detect_communities(graph, seed=0):
         rng.shuffle(order)
         # a vertex without edges never moves, so it is not visited
         order = [v for v in order if adj[v]]
-        block, improved = _one_level(adj, k, total, order)
-        level = Partition(block).relabeled()
+        level = Partition(_one_level(adj, k, total, order)).relabeled()
         labels = [level.block_of[b] for b in labels]
-        if not improved or level.num_blocks == len(adj):
+        # a level that moved nothing leaves every vertex its own block, so this
+        # also stops detection once a level moves nothing
+        if level.num_blocks == len(adj):
             break
         adj, k = _aggregate(adj, k, level.block_of, level.num_blocks)
 

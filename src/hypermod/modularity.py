@@ -60,12 +60,11 @@ class Partition:
 
 @dataclass
 class ModularityBreakdown:
-    """Score split into its edge contribution and degree tax, per block too."""
+    """Score split into its edge contribution and degree tax."""
 
     edge_contribution: float
     degree_tax: float
     score: float
-    per_block: list
 
 
 @dataclass
@@ -80,21 +79,15 @@ class CardinalityProfile:
         return max(self.a)
 
 
-def _cardinality_fractions(h):
-    """(cardinality, fraction of hyperedges) pairs in increasing cardinality."""
-    ne = h.num_edges
-    counts = Counter(h.edge_sizes())
-    return [(ell, cnt / ne) for ell, cnt in sorted(counts.items())]
-
-
-def _strict_blocks(edges, ne, degrees, block_of, num_blocks, card_fracs):
-    """Per-block (edge contribution, degree tax) pairs of the strict score.
+def _strict_score(edges, ne, degrees, block_of, num_blocks, card_fracs):
+    """(edge contribution, degree tax) of the strict score.
 
     ``edges`` iterates the members of the ``ne >= 1`` hyperedges, in any
-    order within an edge; ``card_fracs`` is ``_cardinality_fractions(h)``.
-    A hyperedge is internal to block b only when all of its members lie
-    in b; block b pays ``sum_l a_l * (vol_b / vol_total) ** l`` over the
-    cardinality mix.
+    order within an edge; ``card_fracs`` lists (cardinality, fraction)
+    pairs in increasing cardinality. A hyperedge is internal to block b
+    only when all of its members lie in b; block b pays
+    ``sum_l a_l * (vol_b / vol_total) ** l`` over the cardinality mix.
+    Both sums are accumulated in block order.
     """
     vol_total = float(sum(degrees))
     vol = [0.0] * num_blocks
@@ -108,23 +101,16 @@ def _strict_blocks(edges, ne, degrees, block_of, num_blocks, card_fracs):
                 break
         else:
             internal[b] += 1
-    per_block = []
+    ec_total = 0.0
+    tax_total = 0.0
     for b in range(num_blocks):
         frac = vol[b] / vol_total
         tax = 0.0
         for ell, a_ell in card_fracs:
             tax += a_ell * frac ** ell
-        per_block.append((internal[b] / ne, tax))
-    return per_block
-
-
-def _breakdown(per_block):
-    ec_total = 0.0
-    tax_total = 0.0
-    for ec, tax in per_block:
-        ec_total += ec
+        ec_total += internal[b] / ne
         tax_total += tax
-    return ModularityBreakdown(ec_total, tax_total, ec_total - tax_total, per_block)
+    return ec_total, tax_total
 
 
 def graph_modularity_score(h, part):
@@ -144,12 +130,12 @@ def hypergraph_modularity_score(h, part):
     if len(part) != h.num_vertices:
         raise ValueError("partition size does not match the vertex count")
     if h.num_edges == 0:
-        return _breakdown([])
-    per_block = _strict_blocks(
+        return ModularityBreakdown(0.0, 0.0, 0.0)
+    ec, tax = _strict_score(
         h.edge_members(), h.num_edges, h.degrees, part.block_of, part.num_blocks,
-        _cardinality_fractions(h),
+        cardinality_profile(h).a.items(),
     )
-    return _breakdown(per_block)
+    return ModularityBreakdown(ec, tax, ec - tax)
 
 
 def cardinality_profile(h):
@@ -157,7 +143,9 @@ def cardinality_profile(h):
     ne = h.num_edges
     if ne == 0:
         raise ValueError("cardinality profile needs at least one hyperedge")
-    return CardinalityProfile(dict(_cardinality_fractions(h)), h.degree_sum / ne)
+    counts = Counter(h.edge_sizes())
+    a = {ell: counts[ell] / ne for ell in sorted(counts)}
+    return CardinalityProfile(a, h.degree_sum / ne)
 
 
 def _restricted_growth_strings(n):
@@ -196,11 +184,12 @@ def brute_force_modularity(h, max_vertices=12):
     edges = list(h.edge_members())
     ne = len(edges)
     degrees = h.degrees
-    card_fracs = _cardinality_fractions(h)
+    card_fracs = cardinality_profile(h).a.items()
     best_q = None
     best = None
     for a in _restricted_growth_strings(n):
-        q = _breakdown(_strict_blocks(edges, ne, degrees, a, max(a) + 1, card_fracs)).score
+        ec, tax = _strict_score(edges, ne, degrees, a, max(a) + 1, card_fracs)
+        q = ec - tax
         if best_q is None or q > best_q:
             best_q = q
             best = list(a)

@@ -202,6 +202,12 @@ class TestFitTailExponent:
         fit = fit_tail_exponent(hist, k_min=1)
         assert fit.n_tail == 100
 
+    def test_cutoff_below_one_rejected(self):
+        hist = DegreeHistogram({1: 600, 2: 250, 3: 150}, 1000)
+        for k_min in (0, -4):
+            with pytest.raises(ValueError, match="k_min"):
+                fit_tail_exponent(hist, k_min=k_min)
+
 
 def two_uniform_profile():
     return CardinalityProfile({2: 1.0}, 2.0)

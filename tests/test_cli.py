@@ -317,3 +317,15 @@ def test_negative_steps_rejected_at_argument_parsing(tmp_path, capsys, command, 
     assert run_cli([command, "--config", cfg, "--steps", "-1", "--out", str(out)]) == 2
     assert "argument --steps: steps must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kmin", ["0", "-4"])
+def test_kmin_below_one_rejected_at_argument_parsing(tmp_path, capsys, kmin):
+    cfg = write(tmp_path, BA_CONFIG, "ba.cfg")
+    hpath = tmp_path / "h.txt"
+    assert run_cli(["generate-h", "--config", cfg, "--steps", "2000", "--out", str(hpath)]) == 0
+    capsys.readouterr()
+    assert run_cli(["fit-powerlaw", "--input", str(hpath), "--kmin", kmin]) == 2
+    captured = capsys.readouterr()
+    assert f"argument --kmin: kmin must be >= 1, got {kmin}" in captured.err
+    assert captured.out == ""

@@ -16,7 +16,7 @@ from hypermod import (
 )
 from hypermod.experiments import uniform_block_params
 from hypermod.geng import generate_g
-from hypermod.louvain import MIN_GAIN, _one_level
+from hypermod.louvain import MIN_GAIN, _aggregate, _one_level
 
 
 def clique_hypergraph(cliques, extra_edges=()):
@@ -128,6 +128,19 @@ def test_deterministic_for_fixed_seed():
     assert a.block_of == b.block_of
 
 
+def test_aggregate_shares_one_read_only_row_among_edgeless_supervertices():
+    # blocks {0, 1} and {2, 3} are joined by an edge; blocks {4} and {5, 6} have
+    # none outside themselves
+    wg = weighted_graph(7, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (5, 6, 3)])
+    k = [sum(d.values()) for d in wg.adj]
+    adj, new_k = _aggregate(wg.adj, k, [0, 0, 1, 1, 2, 3, 3], 4)
+    assert adj[0] == {1: 2} and adj[1] == {0: 2}
+    assert new_k == [4, 4, 0, 6]
+    assert adj[2] is adj[3] and len(adj[2]) == 0
+    with pytest.raises(TypeError):
+        adj[2][0] = 1.0
+
+
 def test_one_level_leaves_no_improving_move():
     rng = random.Random(8)
     moves_checked = 0
@@ -138,7 +151,7 @@ def test_one_level_leaves_no_improving_move():
             continue
         order = list(range(n))
         rng.shuffle(order)
-        block, _ = _one_level(wg.adj, [sum(d.values()) for d in wg.adj], wg.total_weight, order)
+        block = _one_level(wg.adj, [sum(d.values()) for d in wg.adj], wg.total_weight, order)
         part = Partition(block)
         q = weighted_graph_modularity(wg, part)
         assert q >= weighted_graph_modularity(wg, Partition.singletons(n))

@@ -169,8 +169,9 @@ def test_generated_community_run_roundtrip(tmp_path):
         hypergraph_modularity_score(g, planted).score, abs=1e-15
     )
     # per-community degree histograms survive the round trip
+    g_degrees, back_degrees = g.degrees, back.degrees
     for j in range(2):
-        orig = sorted(g.degrees[v] for v in range(g.num_vertices) if planted.block_of[v] == j)
-        loaded = sorted(back.degrees[v] for v in range(back.num_vertices)
+        orig = sorted(g_degrees[v] for v in range(g.num_vertices) if planted.block_of[v] == j)
+        loaded = sorted(back_degrees[v] for v in range(back.num_vertices)
                         if loaded_part.block_of[v] == j)
         assert orig == loaded

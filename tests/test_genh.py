@@ -80,8 +80,9 @@ def test_shared_cardinality_across_batch():
     params = HParams(0.0, 0.0, [1.0], CONST(1), [CardinalityDistribution.uniform_int(1, 6)],
                      edges_per_event=3, steps=200)
     h, _ = generate_h(params, seed=4)
+    edges = h.edges
     for i in range(1, h.num_edges, 3):
-        batch = h.edges[i:i + 3]
+        batch = edges[i:i + 3]
         assert len({len(e) for e in batch}) == 1
 
 

@@ -97,3 +97,16 @@ def test_degree_cache_matches_recount_after_random_ops():
     assert sum(hist.counts.values()) == hist.total_vertices == h.num_vertices
     assert all(len(e) == sum(e.count(v) for v in set(e)) for e in h.edges)
 
+
+def test_store_keeps_only_its_primary_facts():
+    rng = random.Random(5)
+    h = Hypergraph()
+    for _ in range(30):
+        if rng.random() < 0.3 or not h.num_vertices:
+            h.add_vertex()
+        else:
+            h.add_hyperedge([rng.randrange(h.num_vertices) for _ in range(rng.randint(1, 4))])
+        h.degrees, h.edges, h.degree_histogram()
+    assert set(vars(h)) == {"num_vertices", "members", "offsets"}
+    assert h.degrees == recomputed_degrees(h)
+

@@ -29,13 +29,14 @@ def naive_score(h, part):
     ne = h.num_edges
     if ne == 0:
         return 0.0
-    vol_v = sum(h.degrees)
-    card = Counter(len(e) for e in h.edges)
+    degrees, edges = h.degrees, h.edges
+    vol_v = sum(degrees)
+    card = Counter(len(e) for e in edges)
     q = 0.0
     for b in range(part.num_blocks):
         verts = {v for v in range(h.num_vertices) if part.block_of[v] == b}
-        within = sum(1 for e in h.edges if set(e) <= verts)
-        vol_a = sum(h.degrees[v] for v in verts)
+        within = sum(1 for e in edges if set(e) <= verts)
+        vol_a = sum(degrees[v] for v in verts)
         q += within / ne
         q -= sum((cnt / ne) * (vol_a / vol_v) ** ell for ell, cnt in card.items())
     return q
