@@ -3,8 +3,12 @@
 Small seeded runs cover both generators (gamma = 0 and > 0, m > 1,
 Poisson and categorical sizes, the cardinality cap, several communities
 with a cross-community profile), and the detect/score path and the
-flattened graph of the `g` output. A changed hash means the output
-bytes changed for a fixed seed.
+flattened graph of the `g` output. The analysis commands are covered
+too: both exponent predictions (the `h` one with both log-gamma terms),
+the degree-fraction oracle, tail fits with and without a fixed cutoff,
+both bound inputs, and the two experiments that predict or fit
+exponents. A changed hash means the output bytes changed for a fixed
+seed.
 """
 
 import hashlib
@@ -50,6 +54,32 @@ steps: 600
 0,1,2: 0.05
 """
 
+BA = """\
+model: h
+p_ve: 1
+y: constant(2)
+m: 3
+steps: 3000
+"""
+
+RECURRENCE = """\
+kind: recurrence_check
+replicas: 3
+k_max: 8
+steps: 2000
+"""
+
+BETA_SWEEP = """\
+kind: beta_sweep
+replicas: 2
+gamma_values: 0, 1.5
+p_ve: 0.5
+p_e: 0.5
+y: constant(3)
+x: constant(3)
+steps: 3000
+"""
+
 # Each case: config text and the commands run in order. "{d}" is the
 # working directory; files named "out_*" are fingerprinted after the run.
 CASES = {
@@ -69,9 +99,46 @@ CASES = {
         ["modularity", "--input", "{d}/out_g.txt", "--partition", "{d}/out_labels.tsv"],
         ["flatten", "--input", "{d}/out_g.txt", "--out", "{d}/out_flat.csv"],
     ]),
+    "h_predict_oracle": (H_SMOOTHED_CAPPED, [
+        ["predict", "--config", "{d}/cfg"],
+        ["oracle", "--config", "{d}/cfg", "--kmax", "12", "--out", "{d}/out_oracle.csv"],
+    ]),
+    "g_predict_bounds": (G_THREE, [
+        ["predict", "--config", "{d}/cfg"],
+        ["bounds", "--config", "{d}/cfg"],
+        ["generate-g", "--config", "{d}/cfg", "--seed", "5", "--out", "{d}/out_g.txt",
+         "--communities", "{d}/out_labels.tsv"],
+        ["bounds", "--config", "{d}/cfg", "--input", "{d}/out_g.txt",
+         "--communities", "{d}/out_labels.tsv"],
+    ]),
+    "ba_fit": (BA, [
+        ["generate-h", "--config", "{d}/cfg", "--seed", "11", "--out", "{d}/out_h.txt"],
+        ["fit-powerlaw", "--input", "{d}/out_h.txt"],
+        ["fit-powerlaw", "--input", "{d}/out_h.txt", "--kmin", "5"],
+    ]),
+    "exp_recurrence": (RECURRENCE, [
+        ["experiment", "--config", "{d}/cfg", "--seed", "4", "--out", "{d}/out_exp.csv"],
+    ]),
+    "exp_beta_sweep": (BETA_SWEEP, [
+        ["experiment", "--config", "{d}/cfg", "--seed", "4", "--out", "{d}/out_exp.csv"],
+    ]),
 }
 
 GOLDEN = {
+    "ba_fit": {
+        "stdout_0": "0519df283139a5377138c35314bea67c75078bb2c5b0f27a49160fe1d29d3d0a",
+        "stdout_1": "223427b3f251611a55c4ab6260354f1bef26d42400b7dbfecaebe8255c5e3d3b",
+        "stdout_2": "4ad07fc2b1a9e48a61792cf9cf29a18cc9340c036fb352dc84780eefc461f334",
+        "out_h.txt": "6c88373f67ec65ddd0c3fc54250e13e691de4156c79a27bfdb4019a8c85035ab",
+    },
+    "exp_beta_sweep": {
+        "stdout_0": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out_exp.csv": "d53fc17619ab4724a6aaad28e3d0bea1b3f85df6678920ea8eb9f706141c92ad",
+    },
+    "exp_recurrence": {
+        "stdout_0": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out_exp.csv": "245ac9df6f9bf04475d444d4baddb67caa379ec5b57a5439dcb6af05c615042b",
+    },
     "g_detect_score": {
         "stdout_0": "afadbcdcb5a44c2aa4f6505a538e67ceee24e7a89d652ca2d7f397ed4b58d326",
         "stdout_1": "96aa59009365fbe8090d3bd41373f4aa8fcadd3764b5d45f9daf5e5ec0c9dc85",
@@ -84,10 +151,23 @@ GOLDEN = {
         "out_part.tsv": "5c3ce0e6c6b30e33282595e22cc9fa63ab91ad023ffc56cd9a658da8f4b1e806",
         "out_stats.csv": "c95d0c1efb191970038e7642d2dc6740042274dc84e10499e70b24bf30807b90",
     },
+    "g_predict_bounds": {
+        "stdout_0": "edf518a5b67e38a708c2afec0fd4f026f08ce5d327603e1585f960649174246c",
+        "stdout_1": "3ea72695eab3d92ad9c31cb36ded5526a393dfbfdf81f94689055b352403aaa2",
+        "stdout_2": "afadbcdcb5a44c2aa4f6505a538e67ceee24e7a89d652ca2d7f397ed4b58d326",
+        "stdout_3": "743dbfa32ff8b1f232324ee1eb05ff8470813c5617a7d21363feeb7a6ac55697",
+        "out_g.txt": "553de47dba7346b2aed5f303dbc79402550620399e0109fca92825fc38374e31",
+        "out_labels.tsv": "31c8c5f49ae69bfbc9f771b283a5fe0ea4c2627718f861687232afade1f349ed",
+    },
     "h_gamma0": {
         "stdout_0": "d011765acf2812afac10e9b70903c14a2c7e1b7fe731564bd706e031a022fd16",
         "out_h.txt": "e37da40879e5a562ab89b1af63f901c46135f94deb47013576eef828c65c8906",
         "out_stats.csv": "b8d4cebad6d82bdfd5a153cf892402b89b40863649f5211277b8d24d5abfb992",
+    },
+    "h_predict_oracle": {
+        "stdout_0": "c93d25c67fb7f65f94aa9e9c75cad9f51e64f0e4cb12309510bf784c47a15afc",
+        "stdout_1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out_oracle.csv": "3bfbce9dd7d399927cdd9b4c66182578a2a5a4449f427b88070d5ba83c72f533",
     },
     "h_smoothed_capped": {
         "stdout_0": "7b6645e11ec4b422685f8a90468ffba5625aec974ad70bcf9fff9802dad257dd",
