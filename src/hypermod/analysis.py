@@ -8,14 +8,17 @@ histograms are estimated by discrete maximum likelihood with an optional
 Kolmogorov-Smirnov choice of the lower cutoff. Modularity lower bounds
 for the community model come in a profile-aware form and a two-parameter
 relaxation of it.
+
+scipy supplies log-gamma and the Hurwitz zeta. Each is imported inside the
+functions that evaluate it, so importing this module (and the package)
+loads numpy only.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln, zeta
 
 from .genh import ParamError
 from .geng import community_marginals, reduce_community
@@ -90,8 +93,8 @@ class BoundInputs:
         return max(self.p_within)
 
 
-def predict_beta_h(params):
-    """Exponent of the degree power law of the general growth process."""
+def _rates(params):
+    """``(vertex_rate, degree_rate, tail_ratio)`` of a validated process."""
     params.validate()
     m = params.edges_per_event
     vertex_rate = params.p_vertex + params.p_vertex_edge
@@ -106,8 +109,16 @@ def predict_beta_h(params):
             "degenerate process: expected degree increments do not exceed "
             "the new vertex's own attachment degree",
         )
+    return vertex_rate, degree_rate, (degree_rate + params.gamma * vertex_rate) / denom
+
+
+def predict_beta_h(params):
+    """Exponent of the degree power law of the general growth process."""
+    from scipy.special import gammaln
+
+    vertex_rate, degree_rate, ratio = _rates(params)
+    m = params.edges_per_event
     gamma = params.gamma
-    ratio = (degree_rate + gamma * vertex_rate) / denom
     beta = 1.0 + ratio
     # amplitude via log-gamma; the isolated-vertex term vanishes as gamma -> 0
     if gamma > 0:
@@ -126,23 +137,22 @@ def degree_fraction_oracle(params, k_max):
     Solves the recurrence
     ``L_0 = p_vertex * D / (gamma + D)`` and
     ``L_k = (L_{k-1} * (k-1+gamma) + [k == m] * p_vertex_edge * D) / (k + gamma + D)``
-    with D the prediction's tail ratio.
+    with D the tail ratio of ``predict_beta_h``.
     """
     if k_max < params.edges_per_event:
         raise ParamError(("k_max", "edges_per_event"),
                          f"k_max {k_max} is below the attachment degree {params.edges_per_event}")
-    pred = predict_beta_h(params)
-    if pred.vertex_rate <= 0:
+    vertex_rate, _, d = _rates(params)
+    if vertex_rate <= 0:
         raise ParamError(("p_vertex", "p_vertex_edge"),
                          "no vertices are ever added; per-vertex fractions undefined")
-    d = pred.tail_ratio
     gamma = params.gamma
     m = params.edges_per_event
     limits = [params.p_vertex * d / (gamma + d)]
     for k in range(1, k_max + 1):
         bump = params.p_vertex_edge * d if k == m else 0.0
         limits.append((limits[k - 1] * (k - 1 + gamma) + bump) / (k + gamma + d))
-    per_vertex = [x / pred.vertex_rate for x in limits]
+    per_vertex = [x / vertex_rate for x in limits]
     return DegreeFractionTable(limits, per_vertex)
 
 
@@ -150,8 +160,8 @@ def predict_beta_g(params):
     """Global and per-community power-law exponents of the community model.
 
     Every community evolves like a reduced single-population process, so
-    its exponent comes from that reduction; the global exponent is the
-    smallest one.
+    its exponent comes from that reduction (``predict_beta_h``'s beta,
+    without the amplitude); the global exponent is the smallest one.
     """
     params.validate()
     if params.p_vertex >= 1.0:
@@ -165,15 +175,79 @@ def predict_beta_g(params):
                 ("profile",),
                 f"community {j} receives vertices but never hyperedges (touch probability 0)",
             )
-        betas.append(predict_beta_h(reduce_community(params, j)).beta)
+        betas.append(1.0 + _rates(reduce_community(params, j))[2])
     return min(betas), betas
 
 
 def _mean_log_zeta(beta, k_min, _h=1e-7):
     """-zeta'(beta, k_min) / zeta(beta, k_min), the model mean of ln k."""
+    from scipy.special import zeta
+
     z = zeta(beta, k_min)
     dz = (zeta(beta + _h, k_min) - zeta(beta - _h, k_min)) / (2.0 * _h)
     return -dz / z
+
+
+def _brentq(f, xa, xb, xtol):
+    """Root of ``f`` in the sign-changing bracket [xa, xb] by Brent's method.
+
+    A port of scipy's ``brentq`` (its C ``brentq``, after Brent,
+    "Algorithms for Minimization Without Derivatives", 1973) with its
+    default ``rtol`` and ``maxiter`` and the same operations in the same
+    order, so it returns the same double. A NaN from ``f``, a bracket
+    without a sign change and failure to converge raise ``ValueError``.
+    """
+    rtol, maxiter = 4 * sys.float_info.epsilon, 100
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; the solver cannot continue")
+        return fx
+
+    def negative(x):  # C's signbit
+        return math.copysign(1.0, x) < 0
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # where C divides by zero, its infinite or NaN step bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise ValueError(f"root solve failed to converge after {maxiter} iterations")
 
 
 def _mle_beta(mean_ln, k_min):
@@ -192,7 +266,7 @@ def _mle_beta(mean_ln, k_min):
         hi *= 2.0
         if hi > 1e6:
             raise ValueError("no finite exponent fits the tail (degenerate degrees)")
-    return brentq(f, lo, hi, xtol=1e-10)
+    return _brentq(f, lo, hi, xtol=1e-10)
 
 
 def _fit_at(ks, counts, k_min):
@@ -212,6 +286,8 @@ def _fit_at(ks, counts, k_min):
 
 
 def _ks_distance(beta, k_min, tail_ks, tail_counts):
+    from scipy.special import zeta
+
     n = tail_counts.sum()
     ecdf = np.cumsum(tail_counts) / n
     z = zeta(beta, k_min)

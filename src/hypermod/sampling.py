@@ -13,7 +13,6 @@ import math
 import random
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from itertools import accumulate
 
 
@@ -97,17 +96,6 @@ class CardinalityDistribution:
         if self.kind == "categorical":
             return sum(v * q for v, q in zip(p["values"], p["probs"]))
         return p["lam"] + p["shift"]
-
-    def max_value(self):
-        """Largest value in the support, or None when unbounded."""
-        p = self.params
-        if self.kind == "constant":
-            return p["value"]
-        if self.kind == "uniform_int":
-            return p["hi"]
-        if self.kind == "categorical":
-            return max(p["values"])
-        return None
 
     def pmf_items(self, eps=1e-12):
         """(value, probability) pairs; Poisson support truncated to mass 1-eps."""
@@ -225,9 +213,3 @@ class PreferentialSelector:
         if self.gamma == 0.0 and not self.occurrences:
             raise ValueError("gamma=0 selection undefined when all degrees are 0")
         return select_vertices(self.occurrences, self.members, count, self.gamma, rng)
-
-    def marginals(self):
-        """Exact selection probability of every member, for verification."""
-        total = len(self.occurrences) + self.gamma * len(self.members)
-        deg = Counter(self.occurrences)
-        return {v: (deg.get(v, 0) + self.gamma) / total for v in self.members}

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hypermod import (
     BoundInputs,
@@ -24,6 +25,7 @@ from hypermod import (
     predict_beta_g,
     predict_beta_h,
 )
+from hypermod.analysis import _brentq, _mean_log_zeta
 
 CONST = CardinalityDistribution.constant
 
@@ -207,6 +209,90 @@ class TestFitTailExponent:
         for k_min in (0, -4):
             with pytest.raises(ValueError, match="k_min"):
                 fit_tail_exponent(hist, k_min=k_min)
+
+
+def _mle_problem(rng):
+    """A likelihood equation as ``_mle_beta`` sets it up, bracket included,
+    or None when ``_mle_beta`` would not reach the root solve."""
+    k_min = rng.randint(1, 40)
+    mean_ln = _mean_log_zeta(rng.uniform(1.05, 6.0), k_min) * rng.uniform(0.9, 1.1)
+    if mean_ln <= math.log(k_min) + 1e-12:
+        return None
+
+    def f(b):
+        return _mean_log_zeta(b, k_min) - mean_ln
+
+    lo, hi = 1.0 + 1e-5, 4.0
+    if f(lo) <= 0:
+        return None
+    while f(hi) > 0:
+        hi *= 2.0
+    return f, lo, hi
+
+
+class TestBrentq:
+    """The in-package root solver against ``scipy.optimize.brentq``."""
+
+    def test_bit_identical_on_likelihood_equations(self):
+        rng = random.Random(17)
+        solved = 0
+        while solved < 1000:
+            problem = _mle_problem(rng)
+            if problem is None:
+                continue
+            f, lo, hi = problem
+            assert _brentq(f, lo, hi, xtol=1e-10) == brentq(f, lo, hi, xtol=1e-10)
+            solved += 1
+
+    def test_bit_identical_on_generic_brackets(self):
+        rng = random.Random(23)
+        solved = 0
+        while solved < 1000:
+            c = [rng.uniform(-3.0, 3.0) for _ in range(4)]
+            w = rng.uniform(0.5, 20.0)
+
+            def f(x):
+                return c[0] + c[1] * x + c[2] * x * x + c[3] * x ** 3 + math.sin(w * x)
+
+            lo, hi = rng.uniform(-5.0, 0.0), rng.uniform(0.0, 5.0)
+            if (f(lo) < 0) == (f(hi) < 0):
+                continue
+            xtol = 10.0 ** rng.uniform(-14.0, -2.0)
+            ours = _brentq(f, lo, hi, xtol=xtol)
+            assert ours == brentq(f, lo, hi, xtol=xtol)
+            assert math.copysign(1.0, ours) == math.copysign(1.0, brentq(f, lo, hi, xtol=xtol))
+            solved += 1
+
+    def test_root_at_an_endpoint_is_returned_as_given(self):
+        assert _brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12) == 1.0
+        assert _brentq(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-12) == 3.0
+        assert math.copysign(1.0, _brentq(lambda x: x, -0.0, 2.0, xtol=1e-12)) == -1.0
+
+    def test_bracket_without_sign_change_rejected(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-12)
+
+    def test_nan_rejected_at_an_end_and_mid_solve(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda x: math.nan if x > 1.5 else x - 1.0, 0.0, 2.0, xtol=1e-12)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.nan if 0.2 < x < 0.4 else x - 0.3
+
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(f, 0.0, 1.0, xtol=1e-12)
+        assert len(calls) > 2
+
+    def test_nonconvergence_is_a_value_error(self):
+        def step(x):  # a sign change without a root: the bracket only halves
+            return -1.0 if x < 1 / 3 else 1.0
+
+        with pytest.raises(RuntimeError):
+            brentq(step, -1e300, 1e300, xtol=1e-300)
+        with pytest.raises(ValueError, match="converge"):
+            _brentq(step, -1e300, 1e300, xtol=1e-300)
 
 
 def two_uniform_profile():

@@ -19,6 +19,8 @@ from hypermod.experiments import (
     uniform_block_params,
 )
 
+from helpers import max_value
+
 CONST = CardinalityDistribution.constant
 
 
@@ -68,7 +70,7 @@ def test_matched_background_cardinality_mix():
     assert params.p_vertex_edge == 0.3
     assert params.gamma == 0.0
     params0 = matched_background_params(options, alpha=0.0)
-    assert params0.attach_size.max_value() == 20
+    assert max_value(params0.attach_size) == 20
 
 
 def test_g_vs_avin_small():

@@ -1,0 +1,108 @@
+"""Which scipy modules a run loads.
+
+The generators, modularity, flatten, Louvain, the bounds, the
+degree-fraction oracle and the community model's exponents need no
+special function, so importing the package and running those commands
+loads no scipy module. A tail fit loads ``scipy.special`` (the Hurwitz
+zeta) and never ``scipy.optimize``. pytest itself loads scipy, so each
+case runs in a fresh interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hypermod
+
+SRC = str(Path(hypermod.__file__).resolve().parents[1])
+
+G_CONFIG = """\
+model: g
+p: 0.4
+membership: 0.5, 0.5
+x: constant(3); constant(2)
+steps: 200
+0: 0.45
+1: 0.45
+0,1: 0.1
+"""
+
+H_CONFIG = """\
+model: h
+p_v: 0.2
+p_ve: 0.4
+p_e: 0.4
+y: constant(2)
+x: constant(3)
+gamma: 0.5
+"""
+
+RECURRENCE = """\
+kind: recurrence_check
+replicas: 2
+k_max: 5
+steps: 300
+"""
+
+PRELUDE = """\
+import json, sys
+from pathlib import Path
+from hypermod.cli import run_cli
+d = Path(sys.argv[1])
+def run(*argv):
+    assert run_cli([a.format(d=d) for a in argv]) == 0, argv
+"""
+
+CASES = {
+    "import": "import hypermod, hypermod.cli\n",
+    "oracle": 'run("oracle", "--config", "{d}/h.cfg", "--kmax", "8", "--out", "{d}/oracle.csv")\n',
+    "predict_g": 'run("predict", "--config", "{d}/g.cfg")\n',
+    "recurrence_check": 'run("experiment", "--config", "{d}/exp.cfg", "--out", "{d}/exp.csv")\n',
+    "generate_detect_score_bounds": """\
+run("generate-g", "--config", "{d}/g.cfg", "--seed", "1", "--out", "{d}/g.txt",
+    "--communities", "{d}/labels.tsv")
+run("detect", "--input", "{d}/g.txt", "--out", "{d}/part.tsv")
+run("modularity", "--input", "{d}/g.txt", "--partition", "{d}/part.tsv")
+run("bounds", "--config", "{d}/g.cfg")
+run("bounds", "--config", "{d}/g.cfg", "--input", "{d}/g.txt", "--communities", "{d}/labels.tsv")
+""",
+    "fit_tail_exponent": """\
+from hypermod import DegreeHistogram, fit_tail_exponent
+counts = {k: 10_000 // k ** 2 for k in range(1, 60)}
+fit_tail_exponent(DegreeHistogram(counts, sum(counts.values())))
+""",
+}
+
+
+def loaded_scipy_modules(case, tmp_path):
+    """Names of the scipy modules loaded after running ``case`` in a fresh
+    interpreter."""
+    (tmp_path / "g.cfg").write_text(G_CONFIG)
+    (tmp_path / "h.cfg").write_text(H_CONFIG)
+    (tmp_path / "exp.cfg").write_text(RECURRENCE)
+    code = PRELUDE + CASES[case] + (
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, check=False,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("case", ["import", "oracle", "predict_g", "recurrence_check",
+                                  "generate_detect_score_bounds"])
+def test_no_scipy_without_special_functions(case, tmp_path):
+    assert loaded_scipy_modules(case, tmp_path) == []
+
+
+def test_tail_fit_loads_special_not_optimize(tmp_path):
+    loaded = loaded_scipy_modules("fit_tail_exponent", tmp_path)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]]

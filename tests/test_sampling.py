@@ -7,6 +7,8 @@ import pytest
 from hypermod import CardinalityDistribution, PreferentialSelector, make_rng
 from hypermod.genh import HParams, generate_h
 
+from helpers import marginals, max_value
+
 
 class TestCardinalityDistribution:
     def test_means_are_closed_form(self):
@@ -25,7 +27,7 @@ class TestCardinalityDistribution:
             CardinalityDistribution.shifted_poisson(1.5, 2),
         ]
         for dist in dists:
-            top = dist.max_value()
+            top = max_value(dist)
             for _ in range(500):
                 z = dist.sample(rng)
                 assert z >= 1
@@ -76,15 +78,15 @@ class TestPreferentialSelector:
     def test_equal_degrees_are_uniform(self):
         for gamma in (0.0, 1.0, 7.5):
             sel = _selector_with_degrees([1, 1, 1, 1], gamma)
-            assert all(p == pytest.approx(0.25) for p in sel.marginals().values())
+            assert all(p == pytest.approx(0.25) for p in marginals(sel).values())
 
     def test_marginals_match_formula_without_smoothing(self):
         sel = _selector_with_degrees([3, 1], 0.0)
-        assert sel.marginals() == {0: pytest.approx(0.75), 1: pytest.approx(0.25)}
+        assert marginals(sel) == {0: pytest.approx(0.75), 1: pytest.approx(0.25)}
 
     def test_smoothed_frequencies_within_three_sigma(self):
         sel = _selector_with_degrees([3, 1], 2.0)
-        assert sel.marginals()[0] == pytest.approx(5 / 8)
+        assert marginals(sel)[0] == pytest.approx(5 / 8)
         rng = make_rng(123)
         n = 10 ** 6
         hits = sel.select_vertices(n, rng).count(0)
@@ -117,7 +119,7 @@ class TestPreferentialSelector:
                 degrees[v] += 1
         total = sum(degrees.values()) + gamma * 20
         expected = {v: (d + gamma) / total for v, d in degrees.items()}
-        assert sel.marginals() == expected
+        assert marginals(sel) == expected
 
     def test_mixture_identity_for_random_configurations(self):
         rng = random.Random(11)
@@ -136,7 +138,7 @@ class TestPreferentialSelector:
     def test_huge_smoothing_approaches_uniform(self):
         degrees = [9, 3, 0, 1]
         sel = _selector_with_degrees(degrees, 1e6 * sum(degrees))
-        for p in sel.marginals().values():
+        for p in marginals(sel).values():
             assert abs(p - 1 / len(degrees)) < 1e-6
 
     def test_selection_does_not_mutate_state(self):
