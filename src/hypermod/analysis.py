@@ -255,8 +255,13 @@ def _mle_beta(mean_ln, k_min):
     if mean_ln <= math.log(k_min) + 1e-12:
         raise ValueError("degenerate tail: every sampled degree equals the cutoff")
 
+    known = {}
+
     def f(b):
-        return _mean_log_zeta(b, k_min) - mean_ln
+        # _brentq starts by evaluating both ends of the bracket found below
+        if b not in known:
+            known[b] = _mean_log_zeta(b, k_min) - mean_ln
+        return known[b]
 
     lo = 1.0 + 1e-5
     if f(lo) <= 0:

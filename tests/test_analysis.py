@@ -204,6 +204,23 @@ class TestFitTailExponent:
         fit = fit_tail_exponent(hist, k_min=1)
         assert fit.n_tail == 100
 
+    def test_no_likelihood_value_is_computed_twice(self, monkeypatch):
+        """The root solve reuses the bracket ends' values from the bracket search."""
+        from hypermod import analysis
+
+        calls = []
+        mean_log_zeta = analysis._mean_log_zeta
+
+        def counted(beta, k_min):
+            calls.append((beta, k_min))
+            return mean_log_zeta(beta, k_min)
+
+        monkeypatch.setattr(analysis, "_mean_log_zeta", counted)
+        sample = np.random.default_rng(3).zipf(2.5, 20_000)
+        fit_tail_exponent(DegreeHistogram(dict(Counter(sample.tolist())), len(sample)))
+        assert calls
+        assert len(set(calls)) == len(calls)
+
     def test_cutoff_below_one_rejected(self):
         hist = DegreeHistogram({1: 600, 2: 250, 3: 150}, 1000)
         for k_min in (0, -4):

@@ -64,7 +64,11 @@ def test_header_below_max_id_rejected(tmp_path):
     ("#vertices ten\n0 1\n", "{path}:1: malformed #vertices header"),
     ("#vertices 2\n0 1\n0 5\n", "{path}: header declares 2 vertices but ids reach 5"),
     ("0 1\n\n# note\n1 2.5\n", "{path}:4: non-integer vertex id in '1 2.5'"),
-], ids=["non_integer", "negative", "bad_header", "header_below_ids", "after_blank_line"])
+    ("0 1\n0 9223372036854775808\n", "{path}:2: vertex id out of range in '0 9223372036854775808'"),
+    ("#vertices 9223372036854775808\n0 1\n",
+     "{path}:1: vertex count out of range in '#vertices 9223372036854775808'"),
+], ids=["non_integer", "negative", "bad_header", "header_below_ids", "after_blank_line",
+        "id_beyond_int64", "count_beyond_int64"])
 def test_malformed_hyperedge_file_errors(tmp_path, capsys, text, message):
     from hypermod.cli import run_cli
 
@@ -78,6 +82,30 @@ def test_malformed_hyperedge_file_errors(tmp_path, capsys, text, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {expected}\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_each_edge_line_is_one_add_hyperedge_call(tmp_path, monkeypatch):
+    """Every edge line enters through one ``Hypergraph.add_hyperedge`` call
+    with that line's ids, whether the bulk reader or the per-line rule
+    reads it. perfbench/tracing.py counts the calls and the memberships
+    there, so the benchmark's exact counts rely on it."""
+    calls = []
+    add = Hypergraph.add_hyperedge
+
+    def spy(h, members):
+        calls.append(list(members))
+        return add(h, members)
+
+    monkeypatch.setattr(Hypergraph, "add_hyperedge", spy)
+    lines = [[i % 97, (i * 7) % 89, i % 5] for i in range(4000)]  # several chunks
+    lines[1234] = [3, 3]
+    text = "#vertices 100\n" + "".join(" ".join(map(str, e)) + "\n" for e in lines)
+    text = text.replace("\n3 3\n", "\n# note\n\n+3\t03\n")
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    h = parse_hypergraph(path)
+    assert calls == lines
+    assert h.num_edges == len(lines)
 
 
 def test_roundtrip_preserves_structure(tmp_path):

@@ -1,11 +1,11 @@
 """Which scipy modules a run loads.
 
 The generators, modularity, flatten, Louvain, the bounds, the
-degree-fraction oracle and the community model's exponents need no
-special function, so importing the package and running those commands
-loads no scipy module. A tail fit loads ``scipy.special`` (the Hurwitz
-zeta) and never ``scipy.optimize``. pytest itself loads scipy, so each
-case runs in a fresh interpreter.
+degree-fraction oracle and the exponents of the community model and of
+the example regressions need no special function, so importing the
+package and running those commands loads no scipy module. A tail fit
+loads ``scipy.special`` (the Hurwitz zeta) and never ``scipy.optimize``.
+pytest itself loads scipy, so each case runs in a fresh interpreter.
 """
 
 import json
@@ -48,6 +48,8 @@ k_max: 5
 steps: 300
 """
 
+REGRESSIONS = "kind: example_regressions\n"
+
 PRELUDE = """\
 import json, sys
 from pathlib import Path
@@ -62,6 +64,8 @@ CASES = {
     "oracle": 'run("oracle", "--config", "{d}/h.cfg", "--kmax", "8", "--out", "{d}/oracle.csv")\n',
     "predict_g": 'run("predict", "--config", "{d}/g.cfg")\n',
     "recurrence_check": 'run("experiment", "--config", "{d}/exp.cfg", "--out", "{d}/exp.csv")\n',
+    "example_regressions":
+        'run("experiment", "--config", "{d}/regressions.cfg", "--out", "{d}/regressions.csv")\n',
     "generate_detect_score_bounds": """\
 run("generate-g", "--config", "{d}/g.cfg", "--seed", "1", "--out", "{d}/g.txt",
     "--communities", "{d}/labels.tsv")
@@ -84,6 +88,7 @@ def loaded_scipy_modules(case, tmp_path):
     (tmp_path / "g.cfg").write_text(G_CONFIG)
     (tmp_path / "h.cfg").write_text(H_CONFIG)
     (tmp_path / "exp.cfg").write_text(RECURRENCE)
+    (tmp_path / "regressions.cfg").write_text(REGRESSIONS)
     code = PRELUDE + CASES[case] + (
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
     )
@@ -97,7 +102,7 @@ def loaded_scipy_modules(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["import", "oracle", "predict_g", "recurrence_check",
-                                  "generate_detect_score_bounds"])
+                                  "example_regressions", "generate_detect_score_bounds"])
 def test_no_scipy_without_special_functions(case, tmp_path):
     assert loaded_scipy_modules(case, tmp_path) == []
 

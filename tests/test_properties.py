@@ -8,6 +8,7 @@ from contextlib import redirect_stderr
 from itertools import combinations
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,11 @@ from hypermod import (
     hypergraph_modularity_score,
     weighted_graph_modularity,
 )
+from hypermod import files
 from hypermod.cli import run_cli
 from hypermod.files import parse_hypergraph, write_hypergraph
 
-from helpers import recomputed_degrees
+from helpers import recomputed_degrees, reference_parse_hypergraph
 
 # An operation is ("vertex", None) or ("edge", raw ids), each followed by a
 # flag saying whether to read the derived views right after it. Raw ids are
@@ -164,6 +166,66 @@ def test_detection_keeps_edgeless_vertices_alone(ops, seed):
     assert part.block_of == part.relabeled().block_of
 
 
+# Hyperedge-list text mixing lines the bulk reader takes (ASCII digits and
+# whitespace) with every kind that takes the per-line rule, under all three
+# line endings and with or without a final newline; at most one line is
+# malformed, so that the lines before it are read.
+SMALL_ID = st.integers(0, 40)
+PLAIN_ID = st.one_of(SMALL_ID.map(str), SMALL_ID.map(str), SMALL_ID.map("00{}".format),
+                     st.integers(0, 10 ** 18 - 1).map(str))
+ODD_ID = st.sampled_from(["+5", "1_0", "-0", "\u0663", "0" * 19 + "7", "0" * 24 + "12",
+                          "9223372036854775807"])
+BAD_ID = st.sampled_from(["x", "2.5", "-3", "9223372036854775808"])
+GAP = st.sampled_from([" ", "  ", "\t", " \t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0"])
+
+
+def edge_line(ids):
+    return st.tuples(st.lists(st.tuples(ids, GAP), min_size=1, max_size=6),
+                     st.sampled_from(["", " ", "\t"])).map(
+        lambda t: t[1] + "".join(tok + gap for tok, gap in t[0]))
+
+
+GOOD_LINE = st.one_of(
+    edge_line(st.one_of(PLAIN_ID, PLAIN_ID, PLAIN_ID, ODD_ID)),
+    edge_line(PLAIN_ID),
+    edge_line(PLAIN_ID),
+    st.sampled_from(["", " ", "\t", "\x0b", "# note", "#", "# 1 2 3", "#vertex 5",
+                     "#vertices \u0663", "# vertices 0012"]),
+    st.integers(0, 60).map("#vertices {}".format))
+BAD_LINE = st.one_of(
+    st.tuples(edge_line(PLAIN_ID), BAD_ID, GAP, st.booleans()).map(
+        lambda t: t[0] + t[1] + t[2] if t[3] else t[1] + t[2] + t[0]),
+    st.sampled_from(["#vertices", "#vertices ten", "#vertices 1 2", "#vertices -1",
+                     "#vertices 9223372036854775808"]))
+LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+HYPEREDGE_TEXT = st.tuples(
+    st.lists(st.tuples(GOOD_LINE, LINE_END), min_size=1, max_size=12),
+    st.lists(st.tuples(BAD_LINE, LINE_END), max_size=1), st.integers(0, 12), st.booleans()).map(
+    lambda t: "".join(line + end for line, end in t[0][:t[2]] + t[1] + t[0][t[2]:])
+    + ("7 8" if t[3] else ""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(HYPEREDGE_TEXT, st.integers(1, 12))
+def test_bulk_reader_matches_line_rule(text, chunk):
+    """Small chunks make lines straddle chunk boundaries, and some lines are
+    longer than a chunk."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.txt"
+        path.write_bytes(text.encode())
+        try:
+            expected = reference_parse_hypergraph(path)
+        except ValueError as e:
+            expected = str(e)
+        with mock.patch.object(files, "_CHUNK_CHARS", chunk):
+            try:
+                h = parse_hypergraph(path)
+                got = (h.num_vertices, list(h.members), list(h.offsets))
+            except ValueError as e:
+                got = str(e)
+    assert got == expected
+
+
 # Malformed input for the CLI: well-formed input with one fault that every
 # reader must reject. Vertex ids and block ids stay small, because a file
 # may legitimately name a vertex or block that many entries must exist for.
@@ -202,7 +264,8 @@ def malformed_config(draw):
 EDGE_LINES = st.lists(st.integers(0, 12), min_size=1, max_size=5).map(
     lambda ids: " ".join(map(str, ids)))
 EDGE_FAULTS = st.sampled_from(["x", "1 -2", "0 1.5", "#vertices", "#vertices -1",
-                               "#vertices 1 2", "3 a 4"])
+                               "#vertices 1 2", "3 a 4", "0 9223372036854775808",
+                               "#vertices 9223372036854775808"])
 LABEL_LINES = st.builds("{}\t{}".format, st.integers(0, 12), st.integers(0, 3))
 LABEL_FAULTS = st.sampled_from(["0", "a\t0", "0\t-1", "0\t0\t0", "0\tx", "99\t0"])
 
