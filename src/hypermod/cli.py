@@ -154,9 +154,9 @@ def _cmd_predict(args):
 def _cmd_bounds(args):
     params = parse_model_config(args.config, "g")
     if args.input:
-        h = files.parse_hypergraph(args.input)
         if not args.communities:
             raise ConfigError("--input also needs --communities for the labels")
+        h = files.parse_hypergraph(args.input)
         labels = files.parse_labels(args.communities, h.num_vertices)
         inputs = empirical_bound_inputs(h, Partition(labels, params.num_communities))
     else:

@@ -1,9 +1,10 @@
 """Experiment harness: seeded sweeps emitting deterministic CSV rows.
 
 Each experiment kind maps to a function returning ``(header, rows)``.
-Replicas are independent seeded runs whose results are averaged; the
-per-replica seed is ``seed + 1009 * point_index + replica`` so sweeps
-stay reproducible point by point.
+Every sweep runs its replicas through ``_sweep``: replicas are
+independent seeded runs, the seed of replica r at point i is
+``seed + 1009 * i + r`` (a one-point sweep uses ``seed + r``), and each
+row averages its replicas in replica order.
 """
 
 import math
@@ -57,35 +58,45 @@ def uniform_block_params(num_communities, alpha, edge_size, p, gamma, target_ver
     )
 
 
-def _replica_seed(seed, point_index, replica):
-    return seed + 1009 * point_index + replica
+def _sweep(points, replicas, seed, run):
+    """For each point in order, the list of ``run(point, replica_seed)``
+    results in replica order; replica r of point i has seed
+    ``seed + 1009 * i + r``."""
+    return [[run(point, seed + 1009 * i + r) for r in range(replicas)]
+            for i, point in enumerate(points)]
+
+
+def _stdev(xs):
+    return stdev(xs) if len(xs) > 1 else 0.0
 
 
 def detected_partition_score(h, seed):
     """Flatten, detect on the weighted graph, score the result on the
     original hypergraph."""
-    part = detect_communities(flatten(h), seed=seed)
-    return hypergraph_modularity_score(h, part).score, part
+    return hypergraph_modularity_score(h, detect_communities(flatten(h), seed=seed)).score
+
+
+def _g_points(options):
+    return [uniform_block_params(options["communities"], alpha, options["uniformity"],
+                                 options["p"], options["gamma"], options["target_vertices"])
+            for alpha in options["alphas"]]
+
+
+def _g_replica(params, run_seed):
+    """One planted ``g`` run, its communities and its detected score."""
+    g, planted, _ = generate_g(params, run_seed)
+    return g, planted, detected_partition_score(g, run_seed)
 
 
 def fig1_bound_vs_detected(options, replicas, seed):
-    header = ["alpha", "lemma3_bound", "detected_q2", "planted_q2"]
-    rows = []
-    for idx, alpha in enumerate(options["alphas"]):
-        bounds, detected, planted = [], [], []
-        for rep in range(replicas):
-            run_seed = _replica_seed(seed, idx, rep)
-            params = uniform_block_params(
-                options["communities"], alpha, options["uniformity"],
-                options["p"], options["gamma"], options["target_vertices"],
-            )
-            g, planted_part, _ = generate_g(params, run_seed)
-            planted.append(hypergraph_modularity_score(g, planted_part).score)
-            q_det, _ = detected_partition_score(g, run_seed)
-            detected.append(q_det)
-            bounds.append(modularity_lower_bound_general(empirical_bound_inputs(g, planted_part)))
-        rows.append((alpha, fmean(bounds), fmean(detected), fmean(planted)))
-    return header, rows
+    def run(params, run_seed):
+        g, planted, detected = _g_replica(params, run_seed)
+        return (modularity_lower_bound_general(empirical_bound_inputs(g, planted)), detected,
+                hypergraph_modularity_score(g, planted).score)
+
+    results = _sweep(_g_points(options), replicas, seed, run)
+    return ["alpha", "lemma3_bound", "detected_q2", "planted_q2"], [
+        (alpha, *map(fmean, zip(*reps))) for alpha, reps in zip(options["alphas"], results)]
 
 
 def matched_background_params(options, alpha):
@@ -111,39 +122,28 @@ def matched_background_params(options, alpha):
 
 
 def g_vs_avin(options, replicas, seed):
-    header = ["alpha", "detected_q2_g", "detected_q2_background"]
-    rows = []
-    for idx, alpha in enumerate(options["alphas"]):
-        q_g, q_a = [], []
-        for rep in range(replicas):
-            run_seed = _replica_seed(seed, idx, rep)
-            gparams = uniform_block_params(
-                options["communities"], alpha, options["uniformity"],
-                options["p"], options["gamma"], options["target_vertices"],
-            )
-            g, _, _ = generate_g(gparams, run_seed)
-            q_g.append(detected_partition_score(g, run_seed)[0])
-            aparams = matched_background_params(options, alpha)
-            a, _ = generate_h(aparams, run_seed)
-            q_a.append(detected_partition_score(a, run_seed)[0])
-        rows.append((alpha, fmean(q_g), fmean(q_a)))
-    return header, rows
+    def run(point, run_seed):
+        gparams, aparams = point
+        a, _ = generate_h(aparams, run_seed)
+        return _g_replica(gparams, run_seed)[2], detected_partition_score(a, run_seed)
+
+    background = [matched_background_params(options, alpha) for alpha in options["alphas"]]
+    results = _sweep(list(zip(_g_points(options), background)), replicas, seed, run)
+    return ["alpha", "detected_q2_g", "detected_q2_background"], [
+        (alpha, *map(fmean, zip(*reps))) for alpha, reps in zip(options["alphas"], results)]
 
 
 def beta_sweep(options, replicas, seed):
     """Fitted tail exponents of ``options["params"]`` at each ``gamma_values`` entry."""
-    header = ["gamma", "beta_theory", "beta_hat_mean", "beta_hat_sd"]
-    rows = []
-    for idx, gamma in enumerate(options["gamma_values"]):
-        params = replace(options["params"], gamma=gamma)
-        theory = predict_beta_h(params).beta
-        fits = []
-        for rep in range(replicas):
-            h, _ = generate_h(params, _replica_seed(seed, idx, rep))
-            fits.append(fit_tail_exponent(h.degree_histogram()).beta_hat)
-        sd = stdev(fits) if len(fits) > 1 else 0.0
-        rows.append((gamma, theory, fmean(fits), sd))
-    return header, rows
+    def run(params, run_seed):
+        return fit_tail_exponent(generate_h(params, run_seed)[0].degree_histogram()).beta_hat
+
+    gammas = options["gamma_values"]
+    points = [replace(options["params"], gamma=gamma) for gamma in gammas]
+    fits = _sweep(points, replicas, seed, run)
+    return ["gamma", "beta_theory", "beta_hat_mean", "beta_hat_sd"], [
+        (gamma, predict_beta_h(params).beta, fmean(f), _stdev(f))
+        for gamma, params, f in zip(gammas, points, fits)]
 
 
 def example_regressions(options, replicas, seed):
@@ -169,26 +169,22 @@ def example_regressions(options, replicas, seed):
 
 def recurrence_check(options, replicas, seed):
     """Per-vertex degree fractions of ``options["params"]``, measured and exact."""
-    params = options["params"]
     k_max = options["k_max"]
-    table = degree_fraction_oracle(params, k_max)
-    samples = [[] for _ in range(k_max + 1)]
-    for rep in range(replicas):
-        h, _ = generate_h(params, seed + rep)
-        hist = h.degree_histogram()
-        n = hist.total_vertices
-        for k in range(k_max + 1):
-            samples[k].append(hist.counts.get(k, 0) / n)
-    header = ["k", "per_vertex_limit", "empirical_mean", "empirical_stderr", "z"]
+    table = degree_fraction_oracle(options["params"], k_max)
+
+    def run(params, run_seed):
+        hist = generate_h(params, run_seed)[0].degree_histogram()
+        return [hist.counts.get(k, 0) / hist.total_vertices for k in range(k_max + 1)]
+
+    (fractions,) = _sweep([options["params"]], replicas, seed, run)
     rows = []
-    for k in range(k_max + 1):
-        mean = fmean(samples[k])
-        sd = stdev(samples[k]) if len(samples[k]) > 1 else 0.0
-        se = sd / math.sqrt(len(samples[k])) if sd > 0 else 0.0
+    for k, samples in enumerate(zip(*fractions)):
+        mean = fmean(samples)
+        se = _stdev(samples) / math.sqrt(len(samples))
         limit = table.per_vertex[k]
         z = (mean - limit) / se if se > 0 else 0.0
         rows.append((k, limit, mean, se, z))
-    return header, rows
+    return ["k", "per_vertex_limit", "empirical_mean", "empirical_stderr", "z"], rows
 
 
 _RUNNERS = {

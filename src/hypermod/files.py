@@ -133,7 +133,7 @@ def _read_line(path, lineno, raw):
         fields = line[1:].split()
         if not fields or fields[0] != "vertices":
             return None, None
-        if len(fields) != 2 or not fields[1].isdigit():
+        if len(fields) != 2 or not fields[1].isdecimal():
             raise ValueError(f"{path}:{lineno}: malformed #vertices header")
         count = int(fields[1])
         if count >= _ID_LIMIT:

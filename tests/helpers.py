@@ -49,7 +49,7 @@ def reference_parse_hypergraph(path):
             if line.startswith("#"):
                 fields = line[1:].split()
                 if fields and fields[0] == "vertices":
-                    if len(fields) != 2 or not fields[1].isdigit():
+                    if len(fields) != 2 or not fields[1].isdecimal():
                         raise ValueError(f"{path}:{lineno}: malformed #vertices header")
                     declared = int(fields[1])
                     if declared >= limit:

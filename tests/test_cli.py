@@ -230,6 +230,15 @@ def test_bounds_subcommand_empirical(tmp_path, capsys):
     assert alpha == pytest.approx(0.2, abs=0.03)
 
 
+def test_bounds_input_without_communities_is_a_config_error(tmp_path, capsys):
+    """The missing flag is reported before --input is read, so a
+    nonexistent input still exits 2 with one config error line."""
+    cfg = write(tmp_path, G_CONFIG, "g.txt")
+    assert run_cli(["bounds", "--config", cfg, "--input", str(tmp_path / "missing.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: --input also needs --communities for the labels\n"
+
+
 def test_experiment_fig1_csv_columns(tmp_path):
     cfg = write(
         tmp_path,

@@ -84,6 +84,18 @@ def test_g_vs_avin_small():
     assert q_g > q_a
 
 
+def test_g_sweeps_share_one_g_replica():
+    """For the same options and seed, both community sweeps detect on the
+    same planted ``g`` replicas, so their ``g`` columns agree exactly."""
+    options = {
+        "uniformity": 3, "communities": 4, "alphas": [0.0, 0.3],
+        "p": 0.3, "gamma": 1.0, "target_vertices": 300,
+    }
+    _, fig1 = fig1_bound_vs_detected(options, replicas=2, seed=5)
+    _, versus = g_vs_avin(options, replicas=2, seed=5)
+    assert [row[2] for row in fig1] == [row[1] for row in versus]
+
+
 def test_beta_sweep_small():
     options = {
         "gamma_values": [0.0, 2.0],

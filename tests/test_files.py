@@ -62,13 +62,14 @@ def test_header_below_max_id_rejected(tmp_path):
     ("0 1\n1 x\n", "{path}:2: non-integer vertex id in '1 x'"),
     ("0 1\n2 -3\n", "{path}:2: negative vertex id"),
     ("#vertices ten\n0 1\n", "{path}:1: malformed #vertices header"),
+    ("#vertices ²\n0 1\n", "{path}:1: malformed #vertices header"),
     ("#vertices 2\n0 1\n0 5\n", "{path}: header declares 2 vertices but ids reach 5"),
     ("0 1\n\n# note\n1 2.5\n", "{path}:4: non-integer vertex id in '1 2.5'"),
     ("0 1\n0 9223372036854775808\n", "{path}:2: vertex id out of range in '0 9223372036854775808'"),
     ("#vertices 9223372036854775808\n0 1\n",
      "{path}:1: vertex count out of range in '#vertices 9223372036854775808'"),
-], ids=["non_integer", "negative", "bad_header", "header_below_ids", "after_blank_line",
-        "id_beyond_int64", "count_beyond_int64"])
+], ids=["non_integer", "negative", "bad_header", "superscript_header", "header_below_ids",
+        "after_blank_line", "id_beyond_int64", "count_beyond_int64"])
 def test_malformed_hyperedge_file_errors(tmp_path, capsys, text, message):
     from hypermod.cli import run_cli
 

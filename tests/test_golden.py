@@ -7,8 +7,9 @@ flattened graph of the `g` output. The analysis commands are covered
 too: both exponent predictions (the `h` one with both log-gamma terms),
 the degree-fraction oracle, tail fits with and without a fixed cutoff,
 both bound inputs, and the two experiments that predict or fit
-exponents. A changed hash means the output bytes changed for a fixed
-seed.
+exponents. The two community sweeps (Figure 1, and `g` against the
+community-free background) are pinned at two replicas and two alphas.
+A changed hash means the output bytes changed for a fixed seed.
 """
 
 import hashlib
@@ -80,6 +81,28 @@ x: constant(3)
 steps: 3000
 """
 
+FIG1 = """\
+kind: fig1_bound_vs_detected
+replicas: 2
+uniformity: 2
+communities: 4
+alphas: 0, 0.3
+p: 0.25
+gamma: 1.0
+target_vertices: 300
+"""
+
+G_VS_AVIN = """\
+kind: g_vs_avin
+replicas: 2
+uniformity: 3
+communities: 3
+alphas: 0, 0.3
+p: 0.3
+gamma: 1.0
+target_vertices: 300
+"""
+
 # Each case: config text and the commands run in order. "{d}" is the
 # working directory; files named "out_*" are fingerprinted after the run.
 CASES = {
@@ -122,6 +145,12 @@ CASES = {
     "exp_beta_sweep": (BETA_SWEEP, [
         ["experiment", "--config", "{d}/cfg", "--seed", "4", "--out", "{d}/out_exp.csv"],
     ]),
+    "exp_fig1": (FIG1, [
+        ["experiment", "--config", "{d}/cfg", "--seed", "4", "--out", "{d}/out_exp.csv"],
+    ]),
+    "exp_g_vs_avin": (G_VS_AVIN, [
+        ["experiment", "--config", "{d}/cfg", "--seed", "4", "--out", "{d}/out_exp.csv"],
+    ]),
 }
 
 GOLDEN = {
@@ -134,6 +163,14 @@ GOLDEN = {
     "exp_beta_sweep": {
         "stdout_0": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out_exp.csv": "d53fc17619ab4724a6aaad28e3d0bea1b3f85df6678920ea8eb9f706141c92ad",
+    },
+    "exp_fig1": {
+        "stdout_0": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out_exp.csv": "91e6f89d6b859441177d4dfae0ccc3899a52554bd3a1325f6c18a50420556ddc",
+    },
+    "exp_g_vs_avin": {
+        "stdout_0": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out_exp.csv": "7882251a68b87af9bab52e25c7694c64f0615322ea6af5211b5975ec4b704afc",
     },
     "exp_recurrence": {
         "stdout_0": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
