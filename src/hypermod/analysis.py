@@ -22,7 +22,7 @@ import numpy as np
 
 from .genh import ParamError
 from .geng import community_marginals, reduce_community
-from .modularity import CardinalityProfile, cardinality_profile
+from .modularity import CardinalityProfile, cardinality_profile, edge_batches, edge_block_span
 
 MIN_TAIL_SAMPLES = 50
 
@@ -358,20 +358,24 @@ def empirical_bound_inputs(h, communities):
     ne = h.num_edges
     if ne == 0:
         raise ValueError("need at least one hyperedge")
-    within = [0] * r
-    touch = [0] * r
-    community = communities.block_of
-    for e in h.edge_members():
-        seen = {community[v] for v in e}
-        if len(seen) == 1:
-            within[next(iter(seen))] += 1
-        for c in seen:
-            touch[c] += 1
+    profile = cardinality_profile(h)
+    community = np.asarray(communities.block_of, dtype=np.int64)
+    within = np.zeros(r, dtype=np.int64)
+    touch = np.zeros(r, dtype=np.int64)
+    for members, offsets in edge_batches(h):
+        labels = community[members]
+        lo, hi = edge_block_span(labels, offsets)
+        within += np.bincount(lo[lo == hi], minlength=r)
+        # an edge touches each of its distinct communities once: count the
+        # distinct (edge, community) keys
+        keys = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64) * r, np.diff(offsets))
+        keys += labels
+        touch += np.bincount(np.unique(keys) % r, minlength=r)
     return BoundInputs(
-        p_within=[w / ne for w in within],
-        s_touch=[t / ne for t in touch],
-        profile=cardinality_profile(h),
-        max_cardinality=max(h.edge_sizes()),
+        p_within=[w / ne for w in within.tolist()],
+        s_touch=[t / ne for t in touch.tolist()],
+        profile=profile,
+        max_cardinality=profile.max_cardinality,
         num_communities=r,
     )
 

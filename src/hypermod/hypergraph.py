@@ -47,8 +47,16 @@ class Hypergraph:
     @property
     def degrees(self):
         """Degree of every vertex, as a list."""
-        occ = np.frombuffer(self.members, dtype=np.int64)
-        return np.bincount(occ, minlength=self.num_vertices).tolist()
+        return np.bincount(self.arrays()[0], minlength=self.num_vertices).tolist()
+
+    def arrays(self):
+        """``members`` and ``offsets`` as int64 numpy views, without a copy.
+
+        The store cannot grow while a view is alive, so callers drop them
+        before the next ``add_hyperedge``.
+        """
+        return (np.frombuffer(self.members, dtype=np.int64),
+                np.frombuffer(self.offsets, dtype=np.int64))
 
     @property
     def edges(self):

@@ -8,19 +8,24 @@ are fully deterministic.
 """
 
 import random
-from collections import defaultdict
-from types import MappingProxyType
 
-from .modularity import Partition, weighted_graph_modularity
+import numpy as np
+
+from .modularity import (
+    Partition,
+    WeightedGraph,
+    first_appearance_labels,
+    sum_by_key,
+    weighted_graph_modularity,
+)
 
 MIN_GAIN = 1e-9
 MAX_LEVELS = 32  # cap on aggregation levels; detection stops sooner once a level moves nothing
-_NO_NEIGHBOURS = MappingProxyType({})  # the shared, read-only row of every supervertex without edges
 
 
-def _one_level(adj, k, total, order):
-    """Greedy local moving; returns the block assignment."""
-    block = list(range(len(adj)))
+def _one_level(indptr, indices, data, k, total, order, block):
+    """Greedy local moving over CSR rows given as lists, from ``block``
+    (every vertex alone), which it updates in place and returns."""
     vol = list(k)
     two_m2 = 2.0 * total * total
     while True:
@@ -29,7 +34,8 @@ def _one_level(adj, k, total, order):
             bv = block[v]
             kv = k[v]
             w_to = {}
-            for u, w in adj[v].items():
+            lo, hi = indptr[v], indptr[v + 1]
+            for u, w in zip(indices[lo:hi], data[lo:hi]):
                 b = block[u]
                 w_to[b] = w_to.get(b, 0.0) + w
             vol[bv] -= kv
@@ -56,23 +62,21 @@ def _one_level(adj, k, total, order):
             return block
 
 
-def _aggregate(adj, k, block, num_blocks):
+def _aggregate(graph, k, block, num_blocks):
     """Collapse blocks into supervertices; each one's degree is the sum of
     its members' degrees, so weight inside a block needs no self-loop.
-    Only a supervertex with an edge gets a dict of its own."""
-    rows = defaultdict(dict)
-    new_k = [0.0] * num_blocks
-    for v, kv in enumerate(k):
-        new_k[block[v]] += kv
-    for v, nbrs in enumerate(adj):
-        bv = block[v]
-        for u, w in nbrs.items():
-            bu = block[u]
-            if bu != bv:
-                row = rows[bv]
-                row[bu] = row.get(bu, 0.0) + w
-    new_adj = [rows.get(b, _NO_NEIGHBOURS) for b in range(num_blocks)]
-    return new_adj, new_k
+    ``k`` and ``block`` are int64 arrays over the graph's vertices."""
+    row_block = graph.row_values(block)
+    col_block = block[graph.indices]
+    # each edge between two blocks is stored once with its lower block first
+    crossing = row_block < col_block
+    keys = row_block[crossing] * num_blocks
+    keys += col_block[crossing]
+    del row_block, col_block
+    keys, weights = sum_by_key(keys, graph.data[crossing])
+    # degree sums are integers below 2**53, so the float sums are exact
+    new_k = np.bincount(block, weights=k, minlength=num_blocks).astype(np.int64)
+    return WeightedGraph.from_pair_counts(num_blocks, keys, weights), new_k
 
 
 def detect_communities(graph, seed=0):
@@ -83,32 +87,41 @@ def detect_communities(graph, seed=0):
     partition.
     """
     n = graph.num_vertices
-    # Level 0 walks graph.adj itself. Flattened weights are integer counts and
-    # every sum stays below 2**53, so no order of additions changes a value;
-    # candidate blocks are visited in sorted order.
-    adj = graph.adj
-    k = [sum(nbrs.values()) for nbrs in adj]
-    total = sum(k) / 2
+    # Flattened weights are integer counts and every sum stays below 2**53,
+    # so no order of additions changes a value; candidate blocks are visited
+    # in sorted order.
+    k = graph.degrees()
+    total = int(k.sum()) / 2
     if total == 0:
         return Partition.singletons(n)
     rng = random.Random(seed)
 
-    labels = list(range(n))
+    level_graph = graph
+    labels = np.arange(n)
     for _level in range(MAX_LEVELS):
-        order = list(range(len(adj)))
+        size = level_graph.num_vertices
+        block = list(range(size))
+        order = list(block)
         rng.shuffle(order)
+        indptr = level_graph.indptr.tolist()
         # a vertex without edges never moves, so it is not visited
-        order = [v for v in order if adj[v]]
-        level = Partition(_one_level(adj, k, total, order)).relabeled()
-        labels = [level.block_of[b] for b in labels]
+        order = [v for v in order if indptr[v] != indptr[v + 1]]
+        # the neighbour list shares block's int objects rather than holding a
+        # new int per entry
+        indices = list(map(block.__getitem__, memoryview(level_graph.indices)))
+        _one_level(indptr, indices, level_graph.data.tolist(), k.tolist(), total, order, block)
+        del indptr, indices, order
+        block = np.array(block)
+        block, num_blocks = first_appearance_labels(block)
+        labels = block[labels]
         # a level that moved nothing leaves every vertex its own block, so this
         # also stops detection once a level moves nothing
-        if level.num_blocks == len(adj):
+        if num_blocks == size:
             break
-        adj, k = _aggregate(adj, k, level.block_of, level.num_blocks)
+        level_graph, k = _aggregate(level_graph, k, block, num_blocks)
 
     # each level's relabeling is by first appearance, and so is their composition
-    part = Partition(labels)
+    part = Partition(labels.tolist())
     if weighted_graph_modularity(graph, part) < 0.0:
         return Partition.one_block(n)
     return part

@@ -1,6 +1,17 @@
-"""Reference computations shared by the tests."""
+"""Reference computations shared by the tests.
 
-from collections import Counter
+Besides the small helpers, this module keeps plain-Python versions of the
+array paths in ``hypermod``: the dict-of-dicts ``flatten``, the Louvain
+levels on that adjacency, the loop strict score and the loop bound
+inputs. The array paths must agree with them bit for bit.
+"""
+
+import random
+from collections import Counter, defaultdict
+
+from hypermod import CardinalityProfile, Partition
+from hypermod.analysis import BoundInputs
+from hypermod.louvain import MAX_LEVELS, MIN_GAIN
 
 
 def recomputed_degrees(h):
@@ -73,3 +84,192 @@ def reference_parse_hypergraph(path):
             )
         num_vertices = declared
     return num_vertices, members, offsets
+
+
+def blocks(part):
+    """The vertices of every block of a ``Partition``, block by block."""
+    out = [[] for _ in range(part.num_blocks)]
+    for v, b in enumerate(part.block_of):
+        out[b].append(v)
+    return out
+
+
+def reference_flatten(h):
+    """The flattened graph as a symmetric adjacency, one dict per vertex:
+    ``adj[u][v]`` counts the edges holding both u and v (u != v)."""
+    adj = [{} for _ in range(h.num_vertices)]
+    for e in h.edge_members():
+        distinct = set(e)
+        for u in distinct:
+            nbrs = adj[u]
+            for v in distinct:
+                if v != u:
+                    nbrs[v] = nbrs.get(v, 0) + 1
+    return adj
+
+
+def adjacency_weights(adj):
+    """Every edge of a symmetric adjacency once, as ``{(u, v): weight}`` with u < v."""
+    return {(u, v): w for u, nbrs in enumerate(adj) for v, w in nbrs.items() if u < v}
+
+
+def reference_weighted_modularity(adj, block_of, num_blocks):
+    """Weighted graph modularity of a partition of a symmetric adjacency."""
+    total = sum(sum(nbrs.values()) for nbrs in adj) / 2
+    if total == 0:
+        return 0.0
+    internal = 0.0
+    vol = [0.0] * num_blocks
+    for u, nbrs in enumerate(adj):
+        bu = block_of[u]
+        for v, w in nbrs.items():
+            vol[bu] += w
+            if block_of[v] == bu:
+                internal += w
+    q = internal / (2.0 * total)
+    for x in vol:
+        q -= (x / (2.0 * total)) ** 2
+    return q
+
+
+def reference_relabeled(block_of):
+    """Blocks renumbered by first appearance, and how many there are."""
+    mapping = {}
+    labels = []
+    for b in block_of:
+        if b not in mapping:
+            mapping[b] = len(mapping)
+        labels.append(mapping[b])
+    return labels, len(mapping)
+
+
+def reference_one_level(adj, k, total, order):
+    """Greedy local moving on a symmetric adjacency; returns the block assignment."""
+    block = list(range(len(adj)))
+    vol = list(k)
+    two_m2 = 2.0 * total * total
+    while True:
+        moves = 0
+        for v in order:
+            bv = block[v]
+            kv = k[v]
+            w_to = {}
+            for u, w in adj[v].items():
+                b = block[u]
+                w_to[b] = w_to.get(b, 0.0) + w
+            vol[bv] -= kv
+            stay = w_to.get(bv, 0.0) / total - vol[bv] * kv / two_m2
+            best_b, best_score = bv, stay
+            for b in sorted(w_to):
+                if b == bv:
+                    continue
+                score = w_to[b] / total - vol[b] * kv / two_m2
+                if score > best_score:
+                    best_b, best_score = b, score
+            if 0.0 > best_score:
+                best_b, best_score = len(vol), 0.0
+            if best_b != bv and best_score - stay > MIN_GAIN:
+                if best_b == len(vol):
+                    vol.append(0.0)
+                vol[best_b] += kv
+                block[v] = best_b
+                moves += 1
+            else:
+                vol[bv] += kv
+        if moves == 0:
+            return block
+
+
+def reference_aggregate(adj, k, block, num_blocks):
+    """Blocks collapsed into supervertices: their adjacency and degrees."""
+    rows = defaultdict(dict)
+    new_k = [0.0] * num_blocks
+    for v, kv in enumerate(k):
+        new_k[block[v]] += kv
+    for v, nbrs in enumerate(adj):
+        bv = block[v]
+        for u, w in nbrs.items():
+            bu = block[u]
+            if bu != bv:
+                row = rows[bv]
+                row[bu] = row.get(bu, 0.0) + w
+    return [rows.get(b, {}) for b in range(num_blocks)], new_k
+
+
+def reference_detect_communities(adj, seed=0):
+    """Louvain on a symmetric adjacency, with the RNG use of ``detect_communities``."""
+    n = len(adj)
+    graph = adj
+    k = [sum(nbrs.values()) for nbrs in adj]
+    total = sum(k) / 2
+    if total == 0:
+        return Partition.singletons(n)
+    rng = random.Random(seed)
+    labels = list(range(n))
+    for _level in range(MAX_LEVELS):
+        order = list(range(len(adj)))
+        rng.shuffle(order)
+        order = [v for v in order if adj[v]]
+        level, num_blocks = reference_relabeled(reference_one_level(adj, k, total, order))
+        labels = [level[b] for b in labels]
+        if num_blocks == len(adj):
+            break
+        adj, k = reference_aggregate(adj, k, level, num_blocks)
+    part = Partition(labels)
+    if reference_weighted_modularity(graph, part.block_of, part.num_blocks) < 0.0:
+        return Partition.one_block(n)
+    return part
+
+
+def reference_strict_score(h, block_of, num_blocks):
+    """(edge contribution, degree tax) of the strict score, one edge at a time."""
+    ne = h.num_edges
+    degrees = h.degrees
+    counts = Counter(h.edge_sizes())
+    card_fracs = [(ell, counts[ell] / ne) for ell in sorted(counts)]
+    vol_total = float(sum(degrees))
+    vol = [0.0] * num_blocks
+    for v, b in enumerate(block_of):
+        vol[b] += degrees[v]
+    internal = [0] * num_blocks
+    for e in h.edge_members():
+        b = block_of[e[0]]
+        for v in e:
+            if block_of[v] != b:
+                break
+        else:
+            internal[b] += 1
+    ec_total = 0.0
+    tax_total = 0.0
+    for b in range(num_blocks):
+        frac = vol[b] / vol_total
+        tax = 0.0
+        for ell, a_ell in card_fracs:
+            tax += a_ell * frac ** ell
+        ec_total += internal[b] / ne
+        tax_total += tax
+    return ec_total, tax_total
+
+
+def reference_bound_inputs(h, communities):
+    """``empirical_bound_inputs``, one edge at a time."""
+    r = communities.num_blocks
+    ne = h.num_edges
+    within = [0] * r
+    touch = [0] * r
+    community = communities.block_of
+    for e in h.edge_members():
+        seen = {community[v] for v in e}
+        if len(seen) == 1:
+            within[next(iter(seen))] += 1
+        for c in seen:
+            touch[c] += 1
+    sizes = Counter(h.edge_sizes())
+    return BoundInputs(
+        p_within=[w / ne for w in within],
+        s_touch=[t / ne for t in touch],
+        profile=CardinalityProfile({ell: sizes[ell] / ne for ell in sorted(sizes)},
+                                   h.degree_sum / ne),
+        max_cardinality=max(sizes),
+        num_communities=r,
+    )

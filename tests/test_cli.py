@@ -338,3 +338,44 @@ def test_kmin_below_one_rejected_at_argument_parsing(tmp_path, capsys, kmin):
     captured = capsys.readouterr()
     assert f"argument --kmin: kmin must be >= 1, got {kmin}" in captured.err
     assert captured.out == ""
+
+
+# Hypergraphs with no pair to flatten: no vertex, no edge, only size-1 edges,
+# and one edge on one vertex. Each with a partition for ``modularity`` and the
+# exact lines ``detect`` and ``modularity`` print.
+DEGENERATE = {
+    "empty_file": ("", "", "blocks: 0\nscore: 0.0\nflattened_score: 0.0\n",
+                   "score: 0.0\nedge_contribution: 0.0\ndegree_tax: 0.0\nblocks: 0\n"),
+    "zero_vertices": ("#vertices 0\n", "", "blocks: 0\nscore: 0.0\nflattened_score: 0.0\n",
+                      "score: 0.0\nedge_contribution: 0.0\ndegree_tax: 0.0\nblocks: 0\n"),
+    "size_one_edges": ("#vertices 3\n0\n1\n", "0\t0\n1\t1\n2\t1\n",
+                       "blocks: 3\nscore: 0.0\nflattened_score: 0.0\n",
+                       "score: 0.0\nedge_contribution: 1.0\ndegree_tax: 1.0\nblocks: 2\n"),
+    "one_vertex_thrice": ("0 0 0\n", "0\t0\n", "blocks: 1\nscore: 0.0\nflattened_score: 0.0\n",
+                          "score: 0.0\nedge_contribution: 1.0\ndegree_tax: 1.0\nblocks: 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_inputs_detect_flatten_and_score(tmp_path, capsys, case):
+    text, labels, detected, scored = DEGENERATE[case]
+    hpath = write(tmp_path, text, "h.txt")
+    part, csv = tmp_path / "part.tsv", tmp_path / "flat.csv"
+    assert run_cli(["detect", "--input", hpath, "--seed", "0", "--out", str(part)]) == 0
+    assert capsys.readouterr().out == detected
+    num_vertices = int(detected.split()[1])
+    assert part.read_text() == "".join(f"{v}\t{v}\n" for v in range(num_vertices))
+    assert run_cli(["flatten", "--input", hpath, "--out", str(csv)]) == 0
+    assert csv.read_text() == "u,v,weight\n"
+    assert run_cli(["modularity", "--input", hpath,
+                    "--partition", write(tmp_path, labels, "labels.tsv")]) == 0
+    assert capsys.readouterr().out == scored
+
+
+@pytest.mark.parametrize("command", ["detect", "flatten"])
+def test_vertex_count_past_the_pair_key_range_is_runtime_error(tmp_path, capsys, command):
+    # pair keys u * n + v are int64, so n may not pass isqrt(2**63 - 1)
+    hpath = write(tmp_path, "#vertices 3037000500\n0 1\n", "h.txt")
+    argv = [command, "--input", hpath, "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.strip().endswith("3037000500 vertices are too many to flatten")

@@ -1,6 +1,9 @@
 import itertools
 import random
+import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from hypermod import (
@@ -33,12 +36,20 @@ def clique_hypergraph(cliques, extra_edges=()):
 
 
 def weighted_graph(n, triples):
-    """A graph on ``n`` vertices from (u, v, weight) triples; repeated pairs add up."""
-    wg = WeightedGraph(n)
+    """A graph on ``n`` vertices from (u, v, weight) triples with integer
+    weights; repeated pairs add up."""
+    weights = Counter()
     for u, v, w in triples:
-        wg.adj[u][v] = wg.adj[u].get(v, 0) + w
-        wg.adj[v][u] = wg.adj[v].get(u, 0) + w
-    return wg
+        weights[min(u, v), max(u, v)] += w
+    pairs = sorted(weights)
+    return WeightedGraph.from_pair_counts(n, [u * n + v for u, v in pairs],
+                                          [weights[pair] for pair in pairs])
+
+
+def one_level(wg, order):
+    """``_one_level`` on a whole graph, every vertex starting alone."""
+    return _one_level(wg.indptr.tolist(), wg.indices.tolist(), wg.data.tolist(),
+                      wg.degrees().tolist(), wg.total_weight, order, list(range(wg.num_vertices)))
 
 
 def random_triples(rng, n, count, weights):
@@ -105,7 +116,7 @@ def test_result_at_least_singletons_and_one_block():
     rng = random.Random(6)
     for trial in range(15):
         n = rng.randint(3, 12)
-        wg = weighted_graph(n, random_triples(rng, n, rng.randint(1, 2 * n), [1.0, 2.0]))
+        wg = weighted_graph(n, random_triples(rng, n, rng.randint(1, 2 * n), [1, 2]))
         if not wg.total_weight:
             continue
         part = detect_communities(wg, seed=trial)
@@ -115,30 +126,28 @@ def test_result_at_least_singletons_and_one_block():
 
 
 def test_empty_graph_gives_singletons():
-    wg = WeightedGraph(4)
+    wg = WeightedGraph.from_pair_counts(4, [], [])
     part = detect_communities(wg, seed=0)
     assert part == Partition.singletons(4)
 
 
 def test_deterministic_for_fixed_seed():
     rng = random.Random(7)
-    wg = weighted_graph(30, random_triples(rng, 30, 80, [1.0]))
+    wg = weighted_graph(30, random_triples(rng, 30, 80, [1]))
     a = detect_communities(wg, seed=11)
     b = detect_communities(wg, seed=11)
     assert a.block_of == b.block_of
 
 
-def test_aggregate_shares_one_read_only_row_among_edgeless_supervertices():
+def test_aggregate_sums_member_degrees_and_crossing_weights():
     # blocks {0, 1} and {2, 3} are joined by an edge; blocks {4} and {5, 6} have
     # none outside themselves
     wg = weighted_graph(7, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (5, 6, 3)])
-    k = [sum(d.values()) for d in wg.adj]
-    adj, new_k = _aggregate(wg.adj, k, [0, 0, 1, 1, 2, 3, 3], 4)
-    assert adj[0] == {1: 2} and adj[1] == {0: 2}
-    assert new_k == [4, 4, 0, 6]
-    assert adj[2] is adj[3] and len(adj[2]) == 0
-    with pytest.raises(TypeError):
-        adj[2][0] = 1.0
+    agg, new_k = _aggregate(wg, wg.degrees(), np.array([0, 0, 1, 1, 2, 3, 3]), 4)
+    # rows 0: {1: 2}, 1: {0: 2}; the edgeless supervertices 2 and 3 have empty rows
+    assert agg.indptr.tolist() == [0, 1, 2, 2, 2]
+    assert agg.indices.tolist() == [1, 0] and agg.data.tolist() == [2, 2]
+    assert new_k.tolist() == [4, 4, 0, 6]
 
 
 def test_one_level_leaves_no_improving_move():
@@ -146,12 +155,14 @@ def test_one_level_leaves_no_improving_move():
     moves_checked = 0
     for _ in range(120):
         n = rng.randint(4, 10)
-        wg = weighted_graph(n, random_triples(rng, n, rng.randint(3, 20), [1.0, 2.0, 0.5]))
+        # weights 1, 2 and 4: the 0.5, 1 and 2 of the float-weight graphs, doubled,
+        # which leaves every modularity value as it was
+        wg = weighted_graph(n, random_triples(rng, n, rng.randint(3, 20), [1, 2, 4]))
         if not wg.total_weight:
             continue
         order = list(range(n))
         rng.shuffle(order)
-        block = _one_level(wg.adj, [sum(d.values()) for d in wg.adj], wg.total_weight, order)
+        block = one_level(wg, order)
         part = Partition(block)
         q = weighted_graph_modularity(wg, part)
         assert q >= weighted_graph_modularity(wg, Partition.singletons(n))
@@ -166,3 +177,26 @@ def test_one_level_leaves_no_improving_move():
                 assert after - q <= MIN_GAIN
                 moves_checked += 1
     assert moves_checked > 1000
+
+
+def test_detection_memory_is_linear_in_the_csr_arrays():
+    # 200k vertices and one edge: flatten makes an 8-byte indptr entry per
+    # vertex. Detection then holds, per vertex, the block list of local moving
+    # (an 8-byte slot and a 32-byte int), lists of small ints (8 bytes a slot)
+    # and int64 arrays (8 bytes an entry), about 13 indptr entries' worth at
+    # its peak. The bound allows 20: a dict per vertex costs 64 bytes on its
+    # own, and a dict-of-dicts adjacency peaks at about 38.
+    n = 200_000
+    h = Hypergraph()
+    for _ in range(n):
+        h.add_vertex()
+    h.add_hyperedge([0, n - 1])
+    tracemalloc.start()
+    try:
+        wg = flatten(h)
+        part = detect_communities(wg, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert part.num_blocks == n - 1
+    assert peak < 20 * wg.indptr.nbytes

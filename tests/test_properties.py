@@ -26,7 +26,7 @@ from hypermod import files
 from hypermod.cli import run_cli
 from hypermod.files import parse_hypergraph, write_hypergraph
 
-from helpers import recomputed_degrees, reference_parse_hypergraph
+from helpers import blocks, recomputed_degrees, reference_parse_hypergraph
 
 # An operation is ("vertex", None) or ("edge", raw ids), each followed by a
 # flag saying whether to read the derived views right after it. Raw ids are
@@ -108,7 +108,11 @@ def test_flatten_weight_counts_distinct_member_pairs(ops):
     wg = flatten(h)
     assert wg.total_weight == sum(comb(len(set(e)), 2) for e in added)
     assert wg.weights == flattened_pairs(added)
-    assert all(wg.adj[v][u] == w for u, nbrs in enumerate(wg.adj) for v, w in nbrs.items())
+    rows = wg.row_values(range(wg.num_vertices)).tolist()
+    entries = set(zip(rows, wg.indices.tolist(), wg.data.tolist()))
+    assert all((v, u, w) in entries for u, v, w in entries)
+    assert all(wg.indices[a:b].tolist() == sorted(set(wg.indices[a:b].tolist()))
+               for a, b in zip(wg.indptr[:-1], wg.indptr[1:]))
 
 
 @settings(max_examples=200)
@@ -124,7 +128,7 @@ def test_flattened_score_matches_networkx(ops, data):
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_weighted_edges_from((u, v, w) for (u, v), w in pairs.items())
-    expected = nx.community.modularity(graph, [b for b in part.blocks() if b], weight="weight")
+    expected = nx.community.modularity(graph, [b for b in blocks(part) if b], weight="weight")
     assert weighted_graph_modularity(flatten(h), part) == pytest.approx(expected, abs=1e-12)
 
 
@@ -162,7 +166,8 @@ def test_detection_keeps_edgeless_vertices_alone(ops, seed):
     wg = flatten(h)
     part = detect_communities(wg, seed=seed)
     sizes = Counter(part.block_of)
-    assert all(sizes[part.block_of[v]] == 1 for v in range(h.num_vertices) if not wg.adj[v])
+    edgeless = (wg.degrees() == 0).tolist()
+    assert all(sizes[part.block_of[v]] == 1 for v in range(h.num_vertices) if edgeless[v])
     assert part.block_of == part.relabeled().block_of
 
 

@@ -1,0 +1,167 @@
+"""The array paths against the plain-Python references they replaced.
+
+``flatten``, Louvain, the strict score, the weighted score and the bound
+inputs run on numpy arrays; ``helpers`` keeps the dict and loop versions.
+Every value must agree bit for bit, not only approximately: the output
+bytes of ``detect``, ``flatten``, ``modularity`` and the experiments
+depend on it.
+"""
+
+from contextlib import contextmanager, nullcontext
+from functools import partial
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypermod import (
+    Hypergraph,
+    Partition,
+    analysis,
+    cardinality_profile,
+    detect_communities,
+    empirical_bound_inputs,
+    flatten,
+    hypergraph_modularity_score,
+    modularity,
+    weighted_graph_modularity,
+)
+from hypermod.experiments import uniform_block_params
+from hypermod.geng import generate_g
+from hypermod.modularity import _block_counts, _strict_score, edge_batches
+
+from helpers import (
+    adjacency_weights,
+    reference_bound_inputs,
+    reference_detect_communities,
+    reference_flatten,
+    reference_strict_score,
+    reference_weighted_modularity,
+)
+
+
+@st.composite
+def hypergraphs(draw, max_vertices=12, max_edges=10, max_size=6):
+    """Hypergraphs with repeated members, size-1 edges and isolated vertices;
+    zero edges and zero vertices included."""
+    n = draw(st.integers(0, max_vertices))
+    h = Hypergraph()
+    for _ in range(n):
+        h.add_vertex()
+    if n:
+        member = st.integers(0, n - 1)
+        for e in draw(st.lists(st.lists(member, min_size=1, max_size=max_size),
+                               max_size=max_edges)):
+            h.add_hyperedge(e)
+    return h
+
+
+def partitions(n):
+    """A partition into 4 block ids, some of them possibly empty."""
+    return st.lists(st.integers(0, 3), min_size=n, max_size=n).map(lambda b: Partition(b, 4))
+
+
+# runs of at most this many memberships make several runs per hypergraph, so
+# the merges between runs are exercised too
+SMALL_BATCH = 4
+
+
+@contextmanager
+def small_batches():
+    """``edge_batches`` cut into runs of ``SMALL_BATCH`` memberships, wherever it is called."""
+    batches = partial(edge_batches, size=SMALL_BATCH)
+    with mock.patch.object(modularity, "edge_batches", batches), \
+            mock.patch.object(analysis, "edge_batches", batches):
+        yield
+
+
+def assert_same_graph(wg, adj):
+    assert wg.num_vertices == len(adj)
+    rows = [list(zip(wg.indices[a:b].tolist(), wg.data[a:b].tolist()))
+            for a, b in zip(wg.indptr[:-1].tolist(), wg.indptr[1:].tolist())]
+    assert rows == [sorted(nbrs.items()) for nbrs in adj]
+    assert wg.weights == adjacency_weights(adj)
+    assert wg.degrees().tolist() == [sum(nbrs.values()) for nbrs in adj]
+
+
+@given(hypergraphs(), st.booleans())
+def test_flatten_equals_reference(h, small):
+    with small_batches() if small else nullcontext():
+        wg = flatten(h)
+    assert_same_graph(wg, reference_flatten(h))
+
+
+@settings(max_examples=200)
+@given(hypergraphs(max_vertices=30, max_edges=40, max_size=5), st.integers(0, 1000))
+def test_detection_equals_reference(h, seed):
+    adj = reference_flatten(h)
+    part = detect_communities(flatten(h), seed=seed)
+    expected = reference_detect_communities(adj, seed)
+    assert part.block_of == expected.block_of
+    assert part.num_blocks == expected.num_blocks
+
+
+@settings(max_examples=50)
+@given(st.integers(3, 8), st.integers(2, 4), st.randoms(use_true_random=False),
+       st.integers(0, 1000))
+def test_detection_breaks_ties_like_reference(cliques, size, rng, seed):
+    # a ring of equal cliques under a shuffled vertex numbering: many moves tie,
+    # and a neighbour's vertex id says little about its block id
+    n = cliques * size
+    ids = list(range(n))
+    rng.shuffle(ids)
+    h = Hypergraph()
+    for _ in range(n):
+        h.add_vertex()
+    for c in range(cliques):
+        members = ids[c * size:(c + 1) * size]
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                h.add_hyperedge([u, v])
+        h.add_hyperedge([members[-1], ids[(c + 1) * size % n]])
+    part = detect_communities(flatten(h), seed=seed)
+    assert part.block_of == reference_detect_communities(reference_flatten(h), seed).block_of
+
+
+@given(hypergraphs(), st.data())
+def test_scores_equal_reference(h, data):
+    n = h.num_vertices
+    part = data.draw(partitions(n))
+    adj = reference_flatten(h)
+    with small_batches():
+        wg = flatten(h)
+        flattened = weighted_graph_modularity(wg, part)
+        if h.num_edges:
+            vol, internal = _block_counts(modularity.edge_batches(h),
+                                          np.asarray(part.block_of, dtype=np.int64),
+                                          part.num_blocks)
+            strict = _strict_score(vol.tolist(), internal.tolist(), h.num_edges,
+                                   cardinality_profile(h).a.items())
+            inputs = empirical_bound_inputs(h, part)
+    assert flattened == reference_weighted_modularity(adj, part.block_of, part.num_blocks)
+    if h.num_edges:
+        expected = reference_strict_score(h, part.block_of, part.num_blocks)
+        assert strict == expected
+        assert hypergraph_modularity_score(h, part).score == expected[0] - expected[1]
+        assert inputs == reference_bound_inputs(h, part)
+
+
+@pytest.mark.parametrize("uniformity, seed", [(2, 0), (2, 1), (3, 2), (5, 3)])
+def test_planted_runs_equal_reference(uniformity, seed):
+    # Figure-1 shaped runs: several Louvain levels on a few hundred vertices
+    params = uniform_block_params(6, 0.2, uniformity, 0.3, 1.0, 1500)
+    g, planted, _ = generate_g(params, seed=seed)
+    adj = reference_flatten(g)
+    wg = flatten(g)
+    assert_same_graph(wg, adj)
+    part = detect_communities(wg, seed=seed)
+    assert part.block_of == reference_detect_communities(adj, seed).block_of
+    assert weighted_graph_modularity(wg, part) == reference_weighted_modularity(
+        adj, part.block_of, part.num_blocks)
+    for p in (part, planted):
+        breakdown = hypergraph_modularity_score(g, p)
+        assert (breakdown.edge_contribution, breakdown.degree_tax) == reference_strict_score(
+            g, p.block_of, p.num_blocks)
+    assert empirical_bound_inputs(g, planted) == reference_bound_inputs(g, planted)
