@@ -32,6 +32,7 @@ _BYTE_CODE[ord("0"):ord("9") + 1] = np.arange(10)
 _BYTE_CODE[list(b" \t\x0b\x0c\r\x1c\x1d\x1e\x1f")] = _SPACE
 _BYTE_CODE[ord("\n")] = _NEWLINE
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+_LABEL_LINES = 1 << 12  # label lines per write call; bounds the text held at once
 
 
 def write_hypergraph(h, path):
@@ -156,9 +157,11 @@ def _add_vertices(h, n):
 
 
 def write_labels(labels, path):
+    """Write one ``vertex<TAB>block`` line per vertex."""
     with open(path, "w") as f:
-        for v, b in enumerate(labels):
-            f.write(f"{v}\t{b}\n")
+        for lo in range(0, len(labels), _LABEL_LINES):
+            part = enumerate(labels[lo:lo + _LABEL_LINES], start=lo)
+            f.write("".join([f"{v}\t{b}\n" for v, b in part]))
 
 
 def parse_labels(path, num_vertices):

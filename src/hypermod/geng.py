@@ -171,8 +171,10 @@ def generate_g(params, seed):
     stats.record(0, g, params.gamma, selectors)
     cum = cumulative(params.membership)
     marks = checkpoint_times(params.steps)
+    counts = stats.event_counts
     for t in range(1, params.steps + 1):
-        stats.count_event(g_step(g, params, selectors, rng, _cum=cum)[0])
+        tag = g_step(g, params, selectors, rng, _cum=cum)[0]
+        counts[tag] = counts.get(tag, 0) + 1
         if t in marks:
             stats.record(t, g, params.gamma, selectors)
     # each vertex is a member of exactly one community's urn

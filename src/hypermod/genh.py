@@ -101,9 +101,6 @@ class RunStats:
                 (t, [s.num_members for s in selectors], [s.degree_total for s in selectors])
             )
 
-    def count_event(self, tag):
-        self.event_counts[tag] = self.event_counts.get(tag, 0) + 1
-
 
 def initial_hypergraph():
     """Single vertex carrying a single size-1 hyperedge."""
@@ -129,8 +126,9 @@ def h_step(h, params, t, rng):
     """Apply one time step, returning the event tag.
 
     Tags are ``"vertex"``, ``"vertex+edges"``, ``"edges:<i>"`` and
-    ``"nothing"``. All of the step's selections are drawn before any of
-    its vertices or edges is added, so they see the pre-step degrees.
+    ``"nothing"``. The step's edges are drawn edge after edge in one
+    ``select_vertices`` call, before any of its vertices or edges is added,
+    so they see the pre-step degrees.
     """
     u = rng.random()
     if u < params.p_vertex:
@@ -142,20 +140,19 @@ def h_step(h, params, t, rng):
     occ = h.members
     pool = range(h.num_vertices) if gamma > 0 else None  # read only when smoothing
     if u < params.p_vertex_edge:
-        y = sample_size(params.attach_size, t, params.cap_sizes, rng)
-        new_edges = [select_vertices(occ, pool, y - 1, gamma, rng) for _ in range(m)]
+        k = sample_size(params.attach_size, t, params.cap_sizes, rng) - 1
+        drawn = select_vertices(occ, pool, m * k, gamma, rng)
         v = h.add_vertex()
-        for others in new_edges:
-            others.append(v)
-            h.add_hyperedge(others)
+        for j in range(m):
+            h.add_hyperedge(drawn[j * k:(j + 1) * k] + [v])
         return EVENT_VERTEX_EDGES
     u -= params.p_vertex_edge
     for i, p in enumerate(params.p_edge):
         if u < p:
             x = sample_size(params.edge_sizes[i], t, params.cap_sizes, rng)
-            new_edges = [select_vertices(occ, pool, x, gamma, rng) for _ in range(m)]
-            for members in new_edges:
-                h.add_hyperedge(members)
+            drawn = select_vertices(occ, pool, m * x, gamma, rng)
+            for j in range(m):
+                h.add_hyperedge(drawn[j * x:(j + 1) * x])
             return f"edges:{i}"
         u -= p
     return EVENT_NOTHING
@@ -181,9 +178,10 @@ def generate_h(params, seed):
     stats = RunStats()
     stats.record(0, h, params.gamma)
     marks = checkpoint_times(params.steps)
+    counts = stats.event_counts
     for t in range(1, params.steps + 1):
         tag = h_step(h, params, t, rng)
-        stats.count_event(tag)
+        counts[tag] = counts.get(tag, 0) + 1
         if t in marks:
             stats.record(t, h, params.gamma)
     return h, stats

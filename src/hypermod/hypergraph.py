@@ -69,11 +69,6 @@ class Hypergraph:
         for i in range(len(offsets) - 1):
             yield members[offsets[i]:offsets[i + 1]]
 
-    def edge_sizes(self):
-        """Cardinality of every hyperedge, in insertion order."""
-        offsets = self.offsets
-        return [offsets[i + 1] - offsets[i] for i in range(len(offsets) - 1)]
-
     def add_vertex(self):
         """Append a new isolated vertex, returning its id."""
         self.num_vertices += 1
@@ -81,11 +76,11 @@ class Hypergraph:
 
     def add_hyperedge(self, members):
         """Add a hyperedge (a non-empty sequence of vertex ids), returning its index."""
-        if not members:
-            raise ValueError("hyperedge must be non-empty")
-        lo, hi = min(members), max(members)
-        if lo < 0 or hi >= self.num_vertices:
-            raise ValueError(f"invalid vertex id {lo if lo < 0 else hi}")
+        if not members or min(members) < 0 or max(members) >= self.num_vertices:
+            if not members:
+                raise ValueError("hyperedge must be non-empty")
+            lo = min(members)
+            raise ValueError(f"invalid vertex id {lo if lo < 0 else max(members)}")
         self.members.extend(members)
         self.offsets.append(len(self.members))
         return len(self.offsets) - 2

@@ -148,9 +148,10 @@ def graph_modularity_score(h, part):
     This is the 2-uniform case of ``hypergraph_modularity_score``, whose
     tax reduces to ``(vol/2|E|)^2``; other cardinalities are rejected.
     """
-    for size in h.edge_sizes():
-        if size != 2:
-            raise ValueError(f"graph modularity needs 2-uniform input, found cardinality {size}")
+    sizes = np.diff(h.arrays()[1])
+    if (sizes != 2).any():
+        raise ValueError("graph modularity needs 2-uniform input, "
+                         f"found cardinality {sizes[sizes != 2][0]}")
     return hypergraph_modularity_score(h, part)
 
 

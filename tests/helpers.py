@@ -22,6 +22,12 @@ def recomputed_degrees(h):
     return deg
 
 
+def edge_sizes(h):
+    """Cardinality of every hyperedge, in insertion order, from ``h.offsets``."""
+    offsets = h.offsets
+    return [offsets[i + 1] - offsets[i] for i in range(h.num_edges)]
+
+
 def max_value(dist):
     """Largest value in the support of a ``CardinalityDistribution``, or None
     when unbounded."""
@@ -225,7 +231,7 @@ def reference_strict_score(h, block_of, num_blocks):
     """(edge contribution, degree tax) of the strict score, one edge at a time."""
     ne = h.num_edges
     degrees = h.degrees
-    counts = Counter(h.edge_sizes())
+    counts = Counter(edge_sizes(h))
     card_fracs = [(ell, counts[ell] / ne) for ell in sorted(counts)]
     vol_total = float(sum(degrees))
     vol = [0.0] * num_blocks
@@ -264,7 +270,7 @@ def reference_bound_inputs(h, communities):
             within[next(iter(seen))] += 1
         for c in seen:
             touch[c] += 1
-    sizes = Counter(h.edge_sizes())
+    sizes = Counter(edge_sizes(h))
     return BoundInputs(
         p_within=[w / ne for w in within],
         s_touch=[t / ne for t in touch],

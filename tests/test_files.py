@@ -2,6 +2,7 @@ import pytest
 
 from hypermod import Hypergraph, Partition, cardinality_profile, hypergraph_modularity_score
 from hypermod.files import (
+    _LABEL_LINES,
     format_value,
     parse_hypergraph,
     parse_labels,
@@ -135,6 +136,16 @@ def test_labels_roundtrip(tmp_path):
     path = tmp_path / "labels.tsv"
     write_labels([0, 1, 1, 0], path)
     assert parse_labels(path, 4) == [0, 1, 1, 0]
+
+
+def test_labels_written_in_slices_match_line_by_line(tmp_path):
+    # more lines than two write slices, with a short last slice
+    labels = [(v * 7919) % 13 for v in range(2 * _LABEL_LINES + 3)]
+    path = tmp_path / "labels.tsv"
+    write_labels(labels, path)
+    assert path.read_text() == "".join(f"{v}\t{b}\n" for v, b in enumerate(labels))
+    write_labels([], path)
+    assert path.read_text() == ""
 
 
 def test_labels_parse_examples(tmp_path):

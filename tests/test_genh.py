@@ -15,7 +15,7 @@ from hypermod.genh import (
     initial_hypergraph,
     sample_size,
 )
-from hypermod.sampling import make_rng
+from hypermod.sampling import make_rng, select_vertices
 
 from helpers import recomputed_degrees
 
@@ -276,7 +276,8 @@ def _reference_generate_h(params, seed):
     stats.record(0, h, params.gamma)
     marks = checkpoint_times(params.steps)
     for t in range(1, params.steps + 1):
-        stats.count_event(_reference_h_step(h, params, occ, pool, t, rng))
+        tag = _reference_h_step(h, params, occ, pool, t, rng)
+        stats.event_counts[tag] = stats.event_counts.get(tag, 0) + 1
         if t in marks:
             stats.record(t, h, params.gamma)
     assert list(h.members) == occ
@@ -295,7 +296,13 @@ UNIFORM = CardinalityDistribution.uniform_int(1, 50)
     HParams(0.0, 0.5, [0.5], UNIFORM, [UNIFORM], gamma=1.0, steps=3000, cap_sizes=True),
     HParams(0.1, 0.2, [0.2, 0.1], CONST(2), [POISSON, CONST(1)], edges_per_event=3,
             gamma=0.5, steps=3000),
-], ids=["ba", "gamma", "poisson_categorical", "cap_sizes", "p_nothing"])
+    # size-1 attachment edges: the step draws no vertex for its m >= 2 edges
+    HParams(0.2, 0.5, [0.3], CONST(1), [CONST(2)], edges_per_event=3, steps=3000),
+    # the early cap of 2 and the fallback to size 1 give size-1 attachment edges
+    HParams(0.1, 0.6, [0.3], UNIFORM, [POISSON], edges_per_event=2, gamma=0.5, steps=3000,
+            cap_sizes=True),
+], ids=["ba", "gamma", "poisson_categorical", "cap_sizes", "p_nothing", "size_one_attach",
+        "cap_sizes_m2"])
 def test_generate_h_matches_selector_reference(monkeypatch, params):
     rngs = []
 
@@ -311,3 +318,20 @@ def test_generate_h_matches_selector_reference(monkeypatch, params):
     assert stats.records == ref_stats.records
     assert stats.event_counts == ref_stats.event_counts
     assert rngs[0].getstate() == ref_rng.getstate()
+
+
+def test_one_selection_call_per_edge_step(monkeypatch):
+    calls = []
+
+    def spy(occ, pool, count, gamma, rng):
+        calls.append(count)
+        return select_vertices(occ, pool, count, gamma, rng)
+
+    monkeypatch.setattr(genh, "select_vertices", spy)
+    params = HParams(0.1, 0.3, [0.3, 0.2], POISSON, [CATEGORICAL, CONST(1)],
+                     edges_per_event=3, gamma=1.0, steps=2000)
+    _, stats = generate_h(params, seed=5)
+    counts = stats.event_counts
+    assert counts[EVENT_VERTEX_EDGES] and counts["edges:0"] and counts["edges:1"]
+    assert len(calls) == counts[EVENT_VERTEX_EDGES] + counts["edges:0"] + counts["edges:1"]
+    assert all(count % 3 == 0 for count in calls)

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 
@@ -50,13 +51,22 @@ def test_triple_appearance_lands_in_histogram():
 
 def test_rejects_empty_edge_and_bad_ids():
     h = Hypergraph()
-    h.add_vertex()
-    with pytest.raises(ValueError):
-        h.add_hyperedge([])
-    with pytest.raises(ValueError):
-        h.add_hyperedge([1])
-    with pytest.raises(ValueError):
-        h.add_hyperedge([-1])
+    for _ in range(5):
+        h.add_vertex()
+    h.add_hyperedge([0, 4, 4])
+    cases = [
+        ([], "hyperedge must be non-empty"),
+        ([0, -1], "invalid vertex id -1"),
+        ([1, 5], "invalid vertex id 5"),
+        ([5, -1], "invalid vertex id -1"),  # the low end is reported first
+    ]
+    for ids, message in cases:
+        for members in (list(ids), array("q", ids)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                h.add_hyperedge(members)
+            assert list(h.members) == [0, 4, 4]
+            assert list(h.offsets) == [0, 3]
+            assert h.num_edges == 1
 
 
 def test_histogram_of_single_seed_edge():

@@ -82,6 +82,12 @@ class TestGraphScore:
         with pytest.raises(ValueError):
             graph_modularity_score(h, Partition([0, 0, 0]))
 
+    def test_non_two_uniform_error_names_first_offending_size(self):
+        h = build(3, [[0, 1], [0, 1, 2], [2], [0, 1]])
+        with pytest.raises(ValueError, match=r"^graph modularity needs 2-uniform input, "
+                                             r"found cardinality 3$"):
+            graph_modularity_score(h, Partition([0, 0, 0]))
+
     def test_empty_edge_set_scores_zero(self):
         h = build(3, [])
         assert graph_modularity_score(h, Partition([0, 0, 0])).score == 0.0
