@@ -9,9 +9,10 @@ Kolmogorov-Smirnov choice of the lower cutoff. Modularity lower bounds
 for the community model come in a profile-aware form and a two-parameter
 relaxation of it.
 
-scipy supplies log-gamma and the Hurwitz zeta. Each is imported inside the
-functions that evaluate it, so importing this module (and the package)
-loads numpy only.
+scipy supplies log-gamma, imported inside the one function that evaluates
+it, so importing this module (and the package) loads numpy only. The tail
+fit's Hurwitz zeta and root solver are bit-exact ports in this module, so a
+fit loads no scipy module.
 """
 
 import math
@@ -179,12 +180,71 @@ def predict_beta_g(params):
     return min(betas), betas
 
 
+# Cephes' Euler-Maclaurin coefficients (2k)!/B_2k and its loop exit tolerance
+_ZETA_A = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _hurwitz_zeta(x, q):
+    """Hurwitz zeta, the sum of ``(k + q)**-x`` over k >= 0, of two floats.
+
+    A port of Cephes' ``zeta`` (Moshier, "Methods and Programs for
+    Mathematical Functions", 1989), which scipy's ``zeta`` is built on, with
+    the same operations in the same order and libm's ``pow``, so it returns
+    the same double. x = 1 and non-positive integer q give inf, x < 1 and
+    negative q with non-integer x give nan, and an underflowing sum gives 0.
+    For q < 1, where C's ``pow`` may overflow to inf, ``math.pow`` raises
+    ``OverflowError``; the tail fit's q is at least 1.
+    """
+    if x == 1.0:
+        return math.inf
+    if x < 1.0:
+        return math.nan
+    if q <= 0.0:
+        if q == math.floor(q):
+            return math.inf
+        if x != math.floor(x):
+            return math.nan
+    if q > 1e8:  # asymptotic expansion, DLMF 25.11.43
+        return (1 / (x - 1) + 1 / (2 * q)) * math.pow(q, 1 - x)
+    # Euler-Maclaurin summation. Where C divides by a zero sum, its NaN or
+    # infinite ratio fails the exit test, so a zero sum never exits.
+    s, a, i, b = math.pow(q, -x), q, 0, 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if s and abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    for j, coefficient in enumerate(_ZETA_A):
+        a *= x + 2 * j
+        b /= w
+        t = a * b / coefficient
+        s += t
+        if s and abs(t / s) < _MACHEP:
+            return s
+        a *= x + (2 * j + 1)
+        b /= w
+    return s
+
+
 def _mean_log_zeta(beta, k_min, _h=1e-7):
     """-zeta'(beta, k_min) / zeta(beta, k_min), the model mean of ln k."""
-    from scipy.special import zeta
-
-    z = zeta(beta, k_min)
-    dz = (zeta(beta + _h, k_min) - zeta(beta - _h, k_min)) / (2.0 * _h)
+    q = float(k_min)
+    z = _hurwitz_zeta(beta, q)
+    dz = (_hurwitz_zeta(beta + _h, q) - _hurwitz_zeta(beta - _h, q)) / (2.0 * _h)
+    if not z:  # zeta underflowed: float64 gives IEEE's 0/0 = nan and x/0 = inf, Python raises
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(-dz) / z)
     return -dz / z
 
 
@@ -291,12 +351,10 @@ def _fit_at(ks, counts, k_min):
 
 
 def _ks_distance(beta, k_min, tail_ks, tail_counts):
-    from scipy.special import zeta
-
     n = tail_counts.sum()
     ecdf = np.cumsum(tail_counts) / n
-    z = zeta(beta, k_min)
-    model_cdf = 1.0 - zeta(beta, tail_ks + 1) / z
+    z = _hurwitz_zeta(beta, k_min)
+    model_cdf = 1.0 - np.array([_hurwitz_zeta(beta, k + 1.0) for k in tail_ks.tolist()]) / z
     return float(np.max(np.abs(ecdf - model_cdf)))
 
 
@@ -319,7 +377,7 @@ def fit_tail_exponent(hist, k_min=None):
         beta, n, _, _ = _fit_at(ks, counts, k_min)
         return TailFit(beta, int(k_min), n, (beta - 1.0) / math.sqrt(n))
     best = None
-    for candidate in ks:
+    for candidate in ks.tolist():
         try:
             beta, n, tail_ks, tail_counts = _fit_at(ks, counts, candidate)
         except ValueError:

@@ -17,7 +17,6 @@ from .analysis import (
     empirical_bound_inputs,
     fit_tail_exponent,
     modularity_lower_bound_general,
-    predict_beta_h,
 )
 from .files import write_csv
 from .genh import HParams, generate_h
@@ -134,7 +133,11 @@ def g_vs_avin(options, replicas, seed):
 
 
 def beta_sweep(options, replicas, seed):
-    """Fitted tail exponents of ``options["params"]`` at each ``gamma_values`` entry."""
+    """Fitted tail exponents of ``options["params"]`` at each ``gamma_values`` entry.
+
+    The theory column is ``predict_beta_h``'s beta taken from the rates
+    alone, as in ``example_regressions``, so a sweep loads no scipy module.
+    """
     def run(params, run_seed):
         return fit_tail_exponent(generate_h(params, run_seed)[0].degree_histogram()).beta_hat
 
@@ -142,7 +145,7 @@ def beta_sweep(options, replicas, seed):
     points = [replace(options["params"], gamma=gamma) for gamma in gammas]
     fits = _sweep(points, replicas, seed, run)
     return ["gamma", "beta_theory", "beta_hat_mean", "beta_hat_sd"], [
-        (gamma, predict_beta_h(params).beta, fmean(f), _stdev(f))
+        (gamma, 1.0 + _rates(params)[2], fmean(f), _stdev(f))
         for gamma, params, f in zip(gammas, points, fits)]
 
 

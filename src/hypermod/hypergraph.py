@@ -75,7 +75,7 @@ class Hypergraph:
         return self.num_vertices - 1
 
     def add_hyperedge(self, members):
-        """Add a hyperedge (a non-empty sequence of vertex ids), returning its index."""
+        """Add a hyperedge (a non-empty sequence of vertex ids)."""
         if not members or min(members) < 0 or max(members) >= self.num_vertices:
             if not members:
                 raise ValueError("hyperedge must be non-empty")
@@ -83,7 +83,6 @@ class Hypergraph:
             raise ValueError(f"invalid vertex id {lo if lo < 0 else max(members)}")
         self.members.extend(members)
         self.offsets.append(len(self.members))
-        return len(self.offsets) - 2
 
     def degree_histogram(self):
         counts = Counter(self.degrees)

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import zeta
 
 from hypermod import (
     BoundInputs,
@@ -25,7 +26,7 @@ from hypermod import (
     predict_beta_g,
     predict_beta_h,
 )
-from hypermod.analysis import _brentq, _mean_log_zeta
+from hypermod.analysis import _brentq, _hurwitz_zeta, _mean_log_zeta
 
 CONST = CardinalityDistribution.constant
 
@@ -228,6 +229,25 @@ class TestFitTailExponent:
                 fit_tail_exponent(hist, k_min=k_min)
 
 
+    def test_underflowing_tail_is_one_value_error_without_warnings(self, recwarn):
+        """49 vertices of degree 1000 and one of 1001: the bracket search
+        reaches beta = 128, where zeta(beta, 1000) underflows to 0 and the
+        model mean is 0/0."""
+        hist = DegreeHistogram({1000: 49, 1001: 1}, 50)
+        with pytest.raises(ValueError, match=r"^the function value at x=128\.0 is NaN; "
+                                             r"the solver cannot continue$"):
+            fit_tail_exponent(hist, k_min=1000)
+        with pytest.raises(ValueError, match="^no cutoff leaves 50 tail samples$"):
+            fit_tail_exponent(hist)
+        assert not recwarn.list
+
+    def test_underflowed_zeta_divides_as_float64(self, recwarn):
+        assert math.isnan(_mean_log_zeta(128.0, 1000))  # 0 / 0
+        # zeta(1075, 2) is 2**-1075, which rounds to 0, but zeta(1075 - 1e-7, 2)
+        # keeps the smallest subnormal, so the slope over the zero is +inf
+        assert _mean_log_zeta(1075.0, 2) == math.inf
+        assert not recwarn.list
+
 def _mle_problem(rng):
     """A likelihood equation as ``_mle_beta`` sets it up, bracket included,
     or None when ``_mle_beta`` would not reach the root solve."""
@@ -311,6 +331,50 @@ class TestBrentq:
         with pytest.raises(ValueError, match="converge"):
             _brentq(step, -1e300, 1e300, xtol=1e-300)
 
+
+class TestHurwitzZeta:
+    """The in-package Hurwitz zeta against ``scipy.special.zeta``."""
+
+    @staticmethod
+    def assert_same(x, q):
+        ours, theirs = _hurwitz_zeta(x, q), float(zeta(x, q))
+        if math.isnan(theirs):
+            assert math.isnan(ours), (x, q)
+        else:
+            assert ours == theirs and math.copysign(1.0, ours) == math.copysign(1.0, theirs), (x, q)
+
+    def test_bit_identical_on_tail_fit_inputs(self):
+        rng = random.Random(31)
+        qs = ([float(q) for q in range(1, 3001)] + [rng.uniform(1.0, 1e6) for _ in range(2000)]
+              + [1e8, 2e8, 1e9])
+        for q in qs:
+            near_one = 1.0 + 10.0 ** rng.uniform(-6.0, 0.7)  # x - 1 from 1e-6 to 5
+            for x in (near_one, near_one - 1e-7, near_one + 1e-7, 10.0 ** rng.uniform(0.0, 6.0)):
+                self.assert_same(x, q)
+
+    def test_underflow_to_zero(self):
+        for x, q in ((128.0, 1000.0), (1075.0, 2.0), (1e4, 2.0), (1e6, 1.5), (1e13, 1e7)):
+            assert _hurwitz_zeta(x, q) == 0.0
+            self.assert_same(x, q)
+        assert _hurwitz_zeta(1075.0 - 1e-7, 2.0) == 5e-324  # 2**-1074, the last subnormal
+        self.assert_same(1075.0 - 1e-7, 2.0)
+
+    def test_poles_and_domain(self):
+        for q in (1.0, 3.5, 1e9):
+            assert _hurwitz_zeta(1.0, q) == math.inf
+            self.assert_same(1.0, q)
+        for x in (0.999, 0.0, -2.0):
+            assert math.isnan(_hurwitz_zeta(x, 2.0))
+            self.assert_same(x, 2.0)
+        for q in (0.0, -1.0, -7.0):
+            assert _hurwitz_zeta(2.5, q) == math.inf
+            self.assert_same(2.5, q)
+
+    def test_bit_identical_below_q_one(self):
+        """Outside the tail fit's q >= 1, where no power overflows; a negative
+        non-integer q needs an integer x."""
+        for x, q in ((3.0, 0.01), (50.0, 0.5), (3.0, -2.5), (4.0, -7.25), (2.5, -2.5)):
+            self.assert_same(x, q)
 
 def two_uniform_profile():
     return CardinalityProfile({2: 1.0}, 2.0)

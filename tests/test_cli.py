@@ -148,6 +148,21 @@ def test_fit_powerlaw_subcommand(tmp_path, capsys):
     assert 2.4 < beta < 2.6
 
 
+def test_fit_powerlaw_underflowing_tail_is_one_line_error(tmp_path, capsys, recwarn):
+    """49 vertices of degree 1000 and one of 1001: the fit's zeta underflows."""
+    h = Hypergraph()
+    for v in range(50):
+        h.add_vertex()
+        h.add_hyperedge([v] * (1001 if v == 49 else 1000))
+    hpath = tmp_path / "h.txt"
+    write_hypergraph(h, hpath)
+    for kmin, message in ((["--kmin", "1000"], "the function value at x=128.0 is NaN; "
+                                               "the solver cannot continue"),
+                          ([], "no cutoff leaves 50 tail samples")):
+        assert run_cli(["fit-powerlaw", "--input", str(hpath), *kmin]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not recwarn.list
+
 def test_bounds_subcommand_analytic(tmp_path, capsys):
     cfg = write(tmp_path, G_CONFIG, "g.txt")
     assert run_cli(["bounds", "--config", cfg]) == 0

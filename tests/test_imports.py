@@ -1,11 +1,13 @@
 """Which scipy modules a run loads.
 
 The generators, modularity, flatten, Louvain, the bounds, the
-degree-fraction oracle and the exponents of the community model and of
-the example regressions need no special function, so importing the
-package and running those commands loads no scipy module. A tail fit
-loads ``scipy.special`` (the Hurwitz zeta) and never ``scipy.optimize``.
-pytest itself loads scipy, so each case runs in a fresh interpreter.
+degree-fraction oracle, the tail fit (its Hurwitz zeta and root solver
+are in the package) and the exponents of the community model, of the
+example regressions and of the beta sweep need no scipy, so importing the
+package and running those commands loads no scipy module. Only the
+amplitude of ``predict`` on an ``h`` config loads ``scipy.special`` (for
+log-gamma), and nothing loads ``scipy.optimize``. pytest itself loads
+scipy, so each case runs in a fresh interpreter.
 """
 
 import json
@@ -48,6 +50,16 @@ k_max: 5
 steps: 300
 """
 
+BETA_SWEEP = """\
+kind: beta_sweep
+replicas: 1
+gamma_values: 0, 0.5
+p_ve: 0.5
+p_e: 0.5
+x: constant(2)
+steps: 2000
+"""
+
 REGRESSIONS = "kind: example_regressions\n"
 
 PRELUDE = """\
@@ -79,6 +91,13 @@ from hypermod import DegreeHistogram, fit_tail_exponent
 counts = {k: 10_000 // k ** 2 for k in range(1, 60)}
 fit_tail_exponent(DegreeHistogram(counts, sum(counts.values())))
 """,
+    "fit-powerlaw": """\
+run("generate-h", "--config", "{d}/h.cfg", "--seed", "1", "--steps", "2000", "--out", "{d}/h.txt")
+run("fit-powerlaw", "--input", "{d}/h.txt")
+run("fit-powerlaw", "--input", "{d}/h.txt", "--kmin", "3")
+""",
+    "beta_sweep": 'run("experiment", "--config", "{d}/sweep.cfg", "--out", "{d}/sweep.csv")\n',
+    "predict_h": 'run("predict", "--config", "{d}/h.cfg")\n',
 }
 
 
@@ -88,6 +107,7 @@ def loaded_scipy_modules(case, tmp_path):
     (tmp_path / "g.cfg").write_text(G_CONFIG)
     (tmp_path / "h.cfg").write_text(H_CONFIG)
     (tmp_path / "exp.cfg").write_text(RECURRENCE)
+    (tmp_path / "sweep.cfg").write_text(BETA_SWEEP)
     (tmp_path / "regressions.cfg").write_text(REGRESSIONS)
     code = PRELUDE + CASES[case] + (
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
@@ -102,12 +122,14 @@ def loaded_scipy_modules(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["import", "oracle", "predict_g", "recurrence_check",
-                                  "example_regressions", "generate_detect_score_bounds"])
+                                  "example_regressions", "generate_detect_score_bounds",
+                                  "fit_tail_exponent", "fit-powerlaw", "beta_sweep"])
 def test_no_scipy_without_special_functions(case, tmp_path):
     assert loaded_scipy_modules(case, tmp_path) == []
 
 
-def test_tail_fit_loads_special_not_optimize(tmp_path):
-    loaded = loaded_scipy_modules("fit_tail_exponent", tmp_path)
+def test_h_prediction_loads_special_not_optimize(tmp_path):
+    """gamma 0.5 in the ``h`` config: the amplitude evaluates log-gamma."""
+    loaded = loaded_scipy_modules("predict_h", tmp_path)
     assert "scipy.special" in loaded
     assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]]
