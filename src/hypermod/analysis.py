@@ -10,16 +10,16 @@ for the community model come in a profile-aware form and a two-parameter
 relaxation of it.
 
 scipy supplies log-gamma, imported inside the one function that evaluates
-it, so importing this module (and the package) loads numpy only. The tail
-fit's Hurwitz zeta and root solver are bit-exact ports in this module, so a
-fit loads no scipy module.
+it, and numpy is imported inside the tail fit and the measured bound
+inputs, so importing this module (and the package) loads neither. The
+predictions, the degree-fraction table and the bounds of a profile need
+only the standard library. The tail fit's Hurwitz zeta and root solver are
+bit-exact ports in this module, so a fit loads no scipy module.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .genh import ParamError
 from .geng import community_marginals, reduce_community
@@ -243,6 +243,7 @@ def _mean_log_zeta(beta, k_min, _h=1e-7):
     z = _hurwitz_zeta(beta, q)
     dz = (_hurwitz_zeta(beta + _h, q) - _hurwitz_zeta(beta - _h, q)) / (2.0 * _h)
     if not z:  # zeta underflowed: float64 gives IEEE's 0/0 = nan and x/0 = inf, Python raises
+        import numpy as np
         with np.errstate(divide="ignore", invalid="ignore"):
             return float(np.float64(-dz) / z)
     return -dz / z
@@ -335,6 +336,7 @@ def _mle_beta(mean_ln, k_min):
 
 
 def _fit_at(ks, counts, k_min):
+    import numpy as np
     mask = ks >= k_min
     tail_ks = ks[mask]
     tail_counts = counts[mask]
@@ -351,6 +353,7 @@ def _fit_at(ks, counts, k_min):
 
 
 def _ks_distance(beta, k_min, tail_ks, tail_counts):
+    import numpy as np
     n = tail_counts.sum()
     ecdf = np.cumsum(tail_counts) / n
     z = _hurwitz_zeta(beta, k_min)
@@ -366,6 +369,7 @@ def fit_tail_exponent(hist, k_min=None):
     whose fitted law is closest to the empirical tail in Kolmogorov-Smirnov
     distance. Degree-0 vertices never participate.
     """
+    import numpy as np
     items = sorted((k, c) for k, c in hist.counts.items() if k >= 1 and c > 0)
     if not items:
         raise ValueError("histogram has no vertices of positive degree")
@@ -410,6 +414,7 @@ def bound_inputs_from_profile(profile, card_profile):
 
 def empirical_bound_inputs(h, communities):
     """Bound inputs measured from a hypergraph and its planted ``Partition``."""
+    import numpy as np
     if len(communities) != h.num_vertices:
         raise ValueError("partition size does not match the vertex count")
     r = communities.num_blocks

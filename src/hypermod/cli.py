@@ -269,7 +269,7 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="exact degree-fraction table as CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--kmax", type=int, default=20)
+    p.add_argument("--kmax", type=_int_at_least("kmax", 0), default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_oracle)
 

@@ -8,8 +8,7 @@ Community labels and partitions share one format: ``vertex<TAB>block``.
 """
 
 from array import array
-
-import numpy as np
+from functools import cache
 
 from .hypergraph import Hypergraph
 from .modularity import Partition
@@ -25,13 +24,9 @@ _CHUNK_CHARS = 1 << 13
 _MAX_DIGITS = 18
 # Byte codes of the bulk reader: a digit's value, or a class. Whitespace is
 # what str.split sees among ASCII bytes; a line with an _OTHER byte takes
-# the per-line rule.
+# the per-line rule. The code table is built on the first parse
+# (``_byte_tables``), so importing this module loads no numpy.
 _SPACE, _NEWLINE, _OTHER = 10, 11, 12
-_BYTE_CODE = np.full(256, _OTHER, dtype=np.int8)
-_BYTE_CODE[ord("0"):ord("9") + 1] = np.arange(10)
-_BYTE_CODE[list(b" \t\x0b\x0c\r\x1c\x1d\x1e\x1f")] = _SPACE
-_BYTE_CODE[ord("\n")] = _NEWLINE
-_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 _LABEL_LINES = 1 << 12  # label lines per write call; bounds the text held at once
 
 
@@ -83,10 +78,23 @@ def _whole_lines(f):
         yield carry + "\n"
 
 
+@cache
+def _byte_tables():
+    """Each byte's code, and ten to the power of each digit place."""
+    import numpy as np
+    code = np.full(256, _OTHER, dtype=np.int8)
+    code[ord("0"):ord("9") + 1] = np.arange(10)
+    code[list(b" \t\x0b\x0c\r\x1c\x1d\x1e\x1f")] = _SPACE
+    code[ord("\n")] = _NEWLINE
+    return code, 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+
+
 def _add_lines(h, path, body, lineno, declared):
     """Add the lines of ``body``, which follow line ``lineno`` of the file,
     to ``h``; returns the last ``#vertices`` count read, else ``declared``."""
-    code = _BYTE_CODE[np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)]
+    import numpy as np
+    byte_code, pow10 = _byte_tables()
+    code = byte_code[np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)]
     newlines = np.flatnonzero(code == _NEWLINE)
     digits = np.flatnonzero(code < _SPACE)
     first = np.flatnonzero(np.diff(digits, prepend=-2) != 1)  # each run's first digit
@@ -98,7 +106,7 @@ def _add_lines(h, path, body, lineno, declared):
     rule_lines = set(np.flatnonzero(by_rule).tolist())
     # each digit times ten to its place in its run, summed per run
     place = np.repeat(starts + (lengths - 1), lengths) - digits
-    values = code[digits] * np.take(_POW10, place, mode="clip")
+    values = code[digits] * np.take(pow10, place, mode="clip")
     if len(first):
         values = np.add.reduceat(values, first)
     if rule_lines:  # their ids come from the per-line rule

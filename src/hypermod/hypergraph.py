@@ -4,8 +4,6 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass
 class DegreeHistogram:
@@ -46,8 +44,11 @@ class Hypergraph:
 
     @property
     def degrees(self):
-        """Degree of every vertex, as a list."""
-        return np.bincount(self.arrays()[0], minlength=self.num_vertices).tolist()
+        """Degree of every vertex, as a list, counted without numpy."""
+        counts = [0] * self.num_vertices
+        for v in self.members:
+            counts[v] += 1
+        return counts
 
     def arrays(self):
         """``members`` and ``offsets`` as int64 numpy views, without a copy.
@@ -55,6 +56,7 @@ class Hypergraph:
         The store cannot grow while a view is alive, so callers drop them
         before the next ``add_hyperedge``.
         """
+        import numpy as np
         return (np.frombuffer(self.members, dtype=np.int64),
                 np.frombuffer(self.offsets, dtype=np.int64))
 

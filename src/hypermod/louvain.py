@@ -9,8 +9,6 @@ are fully deterministic.
 
 import random
 
-import numpy as np
-
 from .modularity import (
     Partition,
     WeightedGraph,
@@ -66,6 +64,7 @@ def _aggregate(graph, k, block, num_blocks):
     """Collapse blocks into supervertices; each one's degree is the sum of
     its members' degrees, so weight inside a block needs no self-loop.
     ``k`` and ``block`` are int64 arrays over the graph's vertices."""
+    import numpy as np
     row_block = graph.row_values(block)
     col_block = block[graph.indices]
     # each edge between two blocks is stored once with its lower block first
@@ -86,6 +85,7 @@ def detect_communities(graph, seed=0):
     stay in singleton blocks. A graph with no edges yields the singleton
     partition.
     """
+    import numpy as np
     n = graph.num_vertices
     # Flattened weights are integer counts and every sum stays below 2**53,
     # so no order of additions changes a value; candidate blocks are visited

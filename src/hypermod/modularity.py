@@ -6,12 +6,13 @@ each block's volume fraction to the power of the edge cardinality,
 weighted by the cardinality mix, which reduces to the familiar
 ``(vol/2|E|)^2`` graph tax on 2-uniform inputs. A hypergraph with no
 edges scores 0 by convention.
+
+Each function imports numpy itself: the generators import ``Partition``
+from here, and they run on the standard library alone.
 """
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class Partition:
@@ -37,6 +38,7 @@ class Partition:
 
     def relabeled(self):
         """Blocks renumbered by first appearance; canonical for comparisons."""
+        import numpy as np
         labels, num_blocks = first_appearance_labels(np.asarray(self.block_of, dtype=np.int64))
         return Partition(labels.tolist(), num_blocks)
 
@@ -73,6 +75,7 @@ class CardinalityProfile:
 def first_appearance_labels(block):
     """``block`` (an int64 array) renumbered 0, 1, ... in order of first
     appearance, and the number of blocks."""
+    import numpy as np
     _, first, inverse = np.unique(block, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
@@ -88,6 +91,7 @@ EDGE_BATCH = 1 << 15
 def edge_batches(h, size=EDGE_BATCH):
     """The hyperedges in runs of at most ``size`` memberships (or of one edge):
     per run, its members as int64 and its edge offsets counted from 0."""
+    import numpy as np
     members, offsets = h.arrays()
     first = 0
     while first < h.num_edges:
@@ -99,6 +103,7 @@ def edge_batches(h, size=EDGE_BATCH):
 
 def edge_block_span(blocks, offsets):
     """Per edge, the smallest and the largest of its members' ``blocks``."""
+    import numpy as np
     return np.minimum.reduceat(blocks, offsets[:-1]), np.maximum.reduceat(blocks, offsets[:-1])
 
 
@@ -106,6 +111,7 @@ def _block_counts(batches, block_of, num_blocks):
     """Per block, its volume (the memberships of its vertices) and the number
     of hyperedges all of whose members lie in it, as int64 arrays; ``batches``
     are ``edge_batches`` runs and ``block_of`` is an int64 array."""
+    import numpy as np
     vol = np.zeros(num_blocks, dtype=np.int64)
     internal = np.zeros(num_blocks, dtype=np.int64)
     for members, offsets in batches:
@@ -148,6 +154,7 @@ def graph_modularity_score(h, part):
     This is the 2-uniform case of ``hypergraph_modularity_score``, whose
     tax reduces to ``(vol/2|E|)^2``; other cardinalities are rejected.
     """
+    import numpy as np
     sizes = np.diff(h.arrays()[1])
     if (sizes != 2).any():
         raise ValueError("graph modularity needs 2-uniform input, "
@@ -157,6 +164,7 @@ def graph_modularity_score(h, part):
 
 def hypergraph_modularity_score(h, part):
     """Score any hypergraph: edge contribution minus cardinality-weighted tax."""
+    import numpy as np
     if len(part) != h.num_vertices:
         raise ValueError("partition size does not match the vertex count")
     if h.num_edges == 0:
@@ -170,6 +178,7 @@ def hypergraph_modularity_score(h, part):
 
 def cardinality_profile(h):
     """Empirical cardinality fractions and mean cardinality of a hypergraph."""
+    import numpy as np
     ne = h.num_edges
     if ne == 0:
         raise ValueError("cardinality profile needs at least one hyperedge")
@@ -207,6 +216,7 @@ def brute_force_modularity(h, max_vertices=12):
     When several partitions share the exact optimum, floating-point
     rounding decides which of them is returned.
     """
+    import numpy as np
     n = h.num_vertices
     if n > max_vertices:
         raise ValueError(f"{n} vertices exceed the brute-force cap of {max_vertices}")
@@ -263,6 +273,7 @@ class WeightedGraph:
     def from_pair_counts(cls, num_vertices, keys, counts):
         """The graph whose edge {u, v} has weight ``counts[i]`` for each key
         ``keys[i] == u * num_vertices + v``; keys are distinct, with u < v."""
+        import numpy as np
         keys = np.asarray(keys, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         n = max(num_vertices, 1)
@@ -285,14 +296,17 @@ class WeightedGraph:
 
     def row_values(self, values):
         """``values[u]`` at every stored entry of row u, aligned with ``indices``."""
+        import numpy as np
         return np.repeat(values, np.diff(self.indptr))
 
     def degrees(self):
         """Weighted degree of every vertex, as an int64 array."""
+        import numpy as np
         ends = np.concatenate(([0], np.cumsum(self.data)))
         return ends[self.indptr[1:]] - ends[self.indptr[:-1]]
 
     def _upper(self):
+        import numpy as np
         rows = self.row_values(np.arange(self.num_vertices))
         upper = rows < self.indices
         return zip(rows[upper].tolist(), self.indices[upper].tolist(), self.data[upper].tolist())
@@ -313,6 +327,7 @@ class WeightedGraph:
 
 def _run_starts(keys):
     """Where each run of equal values starts in the sorted ``keys``."""
+    import numpy as np
     change = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=change[1:])
     return np.flatnonzero(change)
@@ -321,6 +336,7 @@ def _run_starts(keys):
 def sum_by_key(keys, counts):
     """The distinct ``keys`` in increasing order, and the sum of
     ``counts`` over each one's occurrences (int64 arrays)."""
+    import numpy as np
     order = np.argsort(keys, kind="stable")
     keys, counts = keys[order], counts[order]
     first = _run_starts(keys)
@@ -331,6 +347,7 @@ def _pair_counts(members, offsets, n, triu):
     """Sorted distinct ``u * n + v`` keys (u < v) over the pairs of distinct
     members of each edge ``members[offsets[i]:offsets[i + 1]]``, and how
     many edges hold each pair; ``triu`` caches ``np.triu_indices(s, 1)`` by s."""
+    import numpy as np
     ne = len(offsets) - 1
     distinct = np.unique(np.repeat(np.arange(ne, dtype=np.int64) * n, np.diff(offsets)) + members)
     edge, member = np.divmod(distinct, n)
@@ -363,6 +380,7 @@ def flatten(h):
     one ``edge_batches`` run at a time, so that no temporary grows with
     the whole hypergraph.
     """
+    import numpy as np
     n = h.num_vertices
     if n > _MAX_FLATTEN_VERTICES:
         raise ValueError(f"{n} vertices are too many to flatten")
@@ -384,12 +402,14 @@ def flatten(h):
 
 def _merge(keys, counts, runs):
     """``sum_by_key`` of the sorted total and the sorted, counted runs."""
+    import numpy as np
     return sum_by_key(np.concatenate([keys] + [k for k, _ in runs]),
                       np.concatenate([counts] + [c for _, c in runs]))
 
 
 def weighted_graph_modularity(wg, part):
     """Graph modularity with weights in place of edge counts."""
+    import numpy as np
     if len(part) != wg.num_vertices:
         raise ValueError("partition size does not match the vertex count")
     total = wg.total_weight

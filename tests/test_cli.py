@@ -343,6 +343,14 @@ def test_negative_steps_rejected_at_argument_parsing(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+def test_negative_kmax_rejected_at_argument_parsing(tmp_path, capsys):
+    cfg = write(tmp_path, BA_CONFIG, "ba.cfg")
+    out = tmp_path / "oracle.csv"
+    assert run_cli(["oracle", "--config", cfg, "--kmax", "-1", "--out", str(out)]) == 2
+    assert "argument --kmax: kmax must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kmin", ["0", "-4"])
 def test_kmin_below_one_rejected_at_argument_parsing(tmp_path, capsys, kmin):
     cfg = write(tmp_path, BA_CONFIG, "ba.cfg")

@@ -1,13 +1,18 @@
-"""Which scipy modules a run loads.
+"""Which numpy and scipy modules a run loads.
 
-The generators, modularity, flatten, Louvain, the bounds, the
-degree-fraction oracle, the tail fit (its Hurwitz zeta and root solver
-are in the package) and the exponents of the community model, of the
-example regressions and of the beta sweep need no scipy, so importing the
-package and running those commands loads no scipy module. Only the
-amplitude of ``predict`` on an ``h`` config loads ``scipy.special`` (for
-log-gamma), and nothing loads ``scipy.optimize``. pytest itself loads
-scipy, so each case runs in a fresh interpreter.
+The growth models, the degree-fraction oracle, the exponents of the
+community model and of the example regressions, and the bounds of a config
+need only the standard library. So importing the package and running
+``generate-h``, ``generate-g``, ``oracle``, ``predict`` on a ``g`` config,
+``bounds --config`` and the ``recurrence_check`` and
+``example_regressions`` experiments loads neither numpy nor scipy.
+Parsing a hyperedge file, flatten, Louvain, scoring, the measured bound
+inputs and the tail fit compute on numpy arrays and load numpy, but no
+scipy module: the tail fit's Hurwitz zeta and root solver are in the
+package. Only the amplitude of ``predict`` on an ``h`` config loads
+``scipy.special`` (for log-gamma), and nothing loads ``scipy.optimize``.
+pytest itself loads numpy and scipy, so each case runs in a fresh
+interpreter.
 """
 
 import json
@@ -73,6 +78,11 @@ def run(*argv):
 
 CASES = {
     "import": "import hypermod, hypermod.cli\n",
+    "generate-h": 'run("generate-h", "--config", "{d}/h.cfg", "--steps", "2000", "--out", "{d}/h.txt")\n',
+    "generate-g": 'run("generate-g", "--config", "{d}/g.cfg", "--out", "{d}/g.txt", '
+                  '"--communities", "{d}/labels.tsv")\n',
+    "bounds_config": 'run("bounds", "--config", "{d}/g.cfg")\n',
+    "detect": 'run("detect", "--input", "{d}/small.txt", "--out", "{d}/part.tsv")\n',
     "oracle": 'run("oracle", "--config", "{d}/h.cfg", "--kmax", "8", "--out", "{d}/oracle.csv")\n',
     "predict_g": 'run("predict", "--config", "{d}/g.cfg")\n',
     "recurrence_check": 'run("experiment", "--config", "{d}/exp.cfg", "--out", "{d}/exp.csv")\n',
@@ -101,16 +111,23 @@ run("fit-powerlaw", "--input", "{d}/h.txt", "--kmin", "3")
 }
 
 
-def loaded_scipy_modules(case, tmp_path):
-    """Names of the scipy modules loaded after running ``case`` in a fresh
-    interpreter."""
+# the cases that load no numpy; every other one computes on arrays
+NO_NUMPY = {"import", "generate-h", "generate-g", "oracle", "predict_g", "bounds_config",
+            "recurrence_check", "example_regressions"}
+
+
+def loaded_modules(case, tmp_path):
+    """Names of the scipy modules, and ``numpy`` if it is loaded, after
+    running ``case`` in a fresh interpreter."""
     (tmp_path / "g.cfg").write_text(G_CONFIG)
+    (tmp_path / "small.txt").write_text("0 1 2\n1 2\n2 3 4\n3 4\n")
     (tmp_path / "h.cfg").write_text(H_CONFIG)
     (tmp_path / "exp.cfg").write_text(RECURRENCE)
     (tmp_path / "sweep.cfg").write_text(BETA_SWEEP)
     (tmp_path / "regressions.cfg").write_text(REGRESSIONS)
     code = PRELUDE + CASES[case] + (
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'scipy' or m == 'numpy')))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path)],
@@ -123,13 +140,16 @@ def loaded_scipy_modules(case, tmp_path):
 
 @pytest.mark.parametrize("case", ["import", "oracle", "predict_g", "recurrence_check",
                                   "example_regressions", "generate_detect_score_bounds",
-                                  "fit_tail_exponent", "fit-powerlaw", "beta_sweep"])
+                                  "fit_tail_exponent", "fit-powerlaw", "beta_sweep",
+                                  "generate-h", "generate-g", "bounds_config", "detect"])
 def test_no_scipy_without_special_functions(case, tmp_path):
-    assert loaded_scipy_modules(case, tmp_path) == []
+    loaded = loaded_modules(case, tmp_path)
+    assert [m for m in loaded if m != "numpy"] == []
+    assert ("numpy" in loaded) == (case not in NO_NUMPY)
 
 
 def test_h_prediction_loads_special_not_optimize(tmp_path):
     """gamma 0.5 in the ``h`` config: the amplitude evaluates log-gamma."""
-    loaded = loaded_scipy_modules("predict_h", tmp_path)
-    assert "scipy.special" in loaded
+    loaded = loaded_modules("predict_h", tmp_path)
+    assert "scipy.special" in loaded and "numpy" in loaded
     assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]]

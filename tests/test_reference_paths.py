@@ -4,9 +4,12 @@
 inputs run on numpy arrays; ``helpers`` keeps the dict and loop versions.
 Every value must agree bit for bit, not only approximately: the output
 bytes of ``detect``, ``flatten``, ``modularity`` and the experiments
-depend on it.
+depend on it. The other way round, ``Hypergraph.degrees`` counts in a plain
+list, so that the generators load no numpy, and ``np.bincount`` is its
+reference.
 """
 
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from functools import partial
 from unittest import mock
@@ -84,6 +87,16 @@ def assert_same_graph(wg, adj):
     assert rows == [sorted(nbrs.items()) for nbrs in adj]
     assert wg.weights == adjacency_weights(adj)
     assert wg.degrees().tolist() == [sum(nbrs.values()) for nbrs in adj]
+
+
+@given(hypergraphs())
+def test_degrees_equal_bincount(h):
+    expected = np.bincount(h.arrays()[0], minlength=h.num_vertices).tolist()
+    assert h.degrees == expected
+    hist = h.degree_histogram()
+    # the dict's insertion order too, not only its items
+    assert list(hist.counts.items()) == list(Counter(expected).items())
+    assert hist.total_vertices == h.num_vertices
 
 
 @given(hypergraphs(), st.booleans())
