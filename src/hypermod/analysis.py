@@ -10,22 +10,31 @@ for the community model come in a profile-aware form and a two-parameter
 relaxation of it.
 
 scipy supplies log-gamma, imported inside the one function that evaluates
-it, and numpy is imported inside the tail fit and the measured bound
-inputs, so importing this module (and the package) loads neither. The
-predictions, the degree-fraction table and the bounds of a profile need
-only the standard library. The tail fit's Hurwitz zeta and root solver are
-bit-exact ports in this module, so a fit loads no scipy module.
+it, and numpy is imported inside the measured bound inputs, so importing
+this module (and the package) loads neither. The predictions, the
+degree-fraction table, the bounds of a profile and the tail fit need only
+the standard library: the fit's zeta and root solver are bit-exact ports of
+scipy's, its ``ln k`` is libm's ``math.log`` and its sum of ``c * ln k``
+follows ``np.sum``'s pairwise order. numpy's vectorized log rounds a few
+integers differently (9,170 among them, with numpy 2.4 on AVX-512), and
+only a tail holding such a degree can fit differently from a numpy fit.
 """
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add
 
 from .genh import ParamError
 from .geng import community_marginals, reduce_community
 from .modularity import CardinalityProfile, cardinality_profile, edge_batches, edge_block_span
 
 MIN_TAIL_SAMPLES = 50
+# a Hurwitz zeta call costs about as much as this many math.pow terms
+_DIRECT_GAP = 32
 
 
 @dataclass
@@ -242,10 +251,8 @@ def _mean_log_zeta(beta, k_min, _h=1e-7):
     q = float(k_min)
     z = _hurwitz_zeta(beta, q)
     dz = (_hurwitz_zeta(beta + _h, q) - _hurwitz_zeta(beta - _h, q)) / (2.0 * _h)
-    if not z:  # zeta underflowed: float64 gives IEEE's 0/0 = nan and x/0 = inf, Python raises
-        import numpy as np
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(np.float64(-dz) / z)
+    if not z:  # zeta underflowed: IEEE's 0/0 = nan and x/0 = inf, where Python raises
+        return math.copysign(math.inf, -dz) if abs(dz) > 0 else math.nan
     return -dz / z
 
 
@@ -335,60 +342,83 @@ def _mle_beta(mean_ln, k_min):
     return _brentq(f, lo, hi, xtol=1e-10)
 
 
+def _pairwise_sum(a, lo, n):
+    """Sum of ``a[lo:lo + n]`` in the order of numpy's float64 ``sum``: eight
+    running sums over a block of at most 128 values, and larger runs split
+    in halves rounded down to a multiple of 8."""
+    if n < 8:
+        return reduce(add, a[lo:lo + n], 0.0)
+    if n <= 128:
+        m = n - n % 8
+        r = [reduce(add, a[lo + j:lo + m:8]) for j in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, a[lo + m:lo + n], head)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
+
+
 def _fit_at(ks, counts, k_min):
-    import numpy as np
-    mask = ks >= k_min
-    tail_ks = ks[mask]
-    tail_counts = counts[mask]
-    n = int(tail_counts.sum())
+    lo = bisect_left(ks, k_min)
+    n = sum(counts[lo:])
     if n < MIN_TAIL_SAMPLES:
         raise ValueError(
             f"only {n} samples with degree >= {k_min}; need {MIN_TAIL_SAMPLES}"
         )
-    if len(tail_ks) < 2:
+    if len(ks) - lo < 2:
         raise ValueError("tail has a single distinct degree; no slope to fit")
-    mean_ln = float((tail_counts * np.log(tail_ks)).sum() / n)
-    beta = _mle_beta(mean_ln, int(k_min))
-    return beta, n, tail_ks, tail_counts
+    terms = [c * math.log(k) for k, c in zip(ks[lo:], counts[lo:])]
+    return _mle_beta(_pairwise_sum(terms, 0, len(terms)) / n, int(k_min)), n, lo
 
 
-def _ks_distance(beta, k_min, tail_ks, tail_counts):
-    import numpy as np
-    n = tail_counts.sum()
-    ecdf = np.cumsum(tail_counts) / n
-    z = _hurwitz_zeta(beta, k_min)
-    model_cdf = 1.0 - np.array([_hurwitz_zeta(beta, k + 1.0) for k in tail_ks.tolist()]) / z
-    return float(np.max(np.abs(ecdf - model_cdf)))
+def _ks_distance(beta, tail_ks, tail_counts, n):
+    """Largest gap between the tail's empirical CDF and the fitted law's at
+    the observed degrees. The law's upper sums are walked down the observed
+    degrees, from each k' to the next k below it, by
+    ``zeta(beta, k + 1) = zeta(beta, k' + 1) + sum_{j=k+1..k'} j**-beta``,
+    so a candidate cutoff costs two zeta calls plus one per gap wider than
+    ``_DIRECT_GAP``."""
+    z = _hurwitz_zeta(beta, float(tail_ks[0]))
+    upper, above, uppers = 0.0, math.inf, []
+    for k in reversed(tail_ks):
+        if above - k > _DIRECT_GAP:
+            upper = _hurwitz_zeta(beta, k + 1.0)
+        else:
+            upper = reduce(add, map(math.pow, range(above, k, -1), repeat(-beta)), upper)
+        uppers.append(upper)
+        above = k
+    uppers.reverse()
+    return max(abs(c / n - (1.0 - u / z)) for c, u in zip(accumulate(tail_counts), uppers))
 
 
 def fit_tail_exponent(hist, k_min=None):
     """Fit a discrete power law to a degree histogram tail.
 
-    With ``k_min`` (>= 1) given, fits degrees >= k_min by exact discrete
-    maximum likelihood. Otherwise scans candidate cutoffs and keeps the one
-    whose fitted law is closest to the empirical tail in Kolmogorov-Smirnov
-    distance. Degree-0 vertices never participate.
+    With ``k_min`` (an integer >= 1) given, fits degrees >= k_min by exact
+    discrete maximum likelihood. Otherwise scans candidate cutoffs and keeps
+    the one whose fitted law is closest to the empirical tail in
+    Kolmogorov-Smirnov distance. Degree-0 vertices never participate.
     """
-    import numpy as np
     items = sorted((k, c) for k, c in hist.counts.items() if k >= 1 and c > 0)
     if not items:
         raise ValueError("histogram has no vertices of positive degree")
-    ks = np.array([k for k, _ in items], dtype=float)
-    counts = np.array([c for _, c in items], dtype=float)
+    ks = [k for k, _ in items]
+    counts = [c for _, c in items]
     if k_min is not None:
         if k_min < 1:
             raise ValueError(f"k_min must be >= 1, got {k_min}")
-        beta, n, _, _ = _fit_at(ks, counts, k_min)
+        if k_min % 1:
+            raise ValueError(f"k_min must be an integer, got {k_min}")
+        beta, n, _ = _fit_at(ks, counts, k_min)
         return TailFit(beta, int(k_min), n, (beta - 1.0) / math.sqrt(n))
     best = None
-    for candidate in ks.tolist():
+    for candidate in ks:
         try:
-            beta, n, tail_ks, tail_counts = _fit_at(ks, counts, candidate)
+            beta, n, lo = _fit_at(ks, counts, candidate)
         except ValueError:
             break  # tails only shrink from here on
-        dist = _ks_distance(beta, candidate, tail_ks, tail_counts)
+        dist = _ks_distance(beta, ks[lo:], counts[lo:], n)
         if best is None or dist < best[0] - 1e-12:
-            best = (dist, beta, int(candidate), n)
+            best = (dist, beta, candidate, n)
     if best is None:
         raise ValueError(f"no cutoff leaves {MIN_TAIL_SAMPLES} tail samples")
     _, beta, kmin, n = best

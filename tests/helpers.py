@@ -3,14 +3,17 @@
 Besides the small helpers, this module keeps plain-Python versions of the
 array paths in ``hypermod``: the dict-of-dicts ``flatten``, the Louvain
 levels on that adjacency, the loop strict score and the loop bound
-inputs. The array paths must agree with them bit for bit.
+inputs. The array paths must agree with them bit for bit. The other way
+round, the tail fit runs on plain lists, and its numpy version is kept
+here as the reference.
 """
 
+import math
 import random
 from collections import Counter, defaultdict
 
 from hypermod import CardinalityProfile, Partition
-from hypermod.analysis import BoundInputs
+from hypermod.analysis import MIN_TAIL_SAMPLES, BoundInputs, TailFit, _hurwitz_zeta, _mle_beta
 from hypermod.louvain import MAX_LEVELS, MIN_GAIN
 
 
@@ -279,3 +282,58 @@ def reference_bound_inputs(h, communities):
         max_cardinality=max(sizes),
         num_communities=r,
     )
+
+
+def reference_fit_at(ks, counts, k_min):
+    import numpy as np
+    mask = ks >= k_min
+    tail_ks = ks[mask]
+    tail_counts = counts[mask]
+    n = int(tail_counts.sum())
+    if n < MIN_TAIL_SAMPLES:
+        raise ValueError(
+            f"only {n} samples with degree >= {k_min}; need {MIN_TAIL_SAMPLES}"
+        )
+    if len(tail_ks) < 2:
+        raise ValueError("tail has a single distinct degree; no slope to fit")
+    mean_ln = float((tail_counts * np.log(tail_ks)).sum() / n)
+    beta = _mle_beta(mean_ln, int(k_min))
+    return beta, n, tail_ks, tail_counts
+
+
+def reference_ks_distance(beta, k_min, tail_ks, tail_counts):
+    import numpy as np
+    n = tail_counts.sum()
+    ecdf = np.cumsum(tail_counts) / n
+    z = _hurwitz_zeta(beta, k_min)
+    model_cdf = 1.0 - np.array([_hurwitz_zeta(beta, k + 1.0) for k in tail_ks.tolist()]) / z
+    return float(np.max(np.abs(ecdf - model_cdf)))
+
+
+def reference_fit_tail_exponent(hist, k_min=None):
+    """``fit_tail_exponent`` on numpy arrays, with one zeta call per tail
+    degree in the Kolmogorov-Smirnov scan."""
+    import numpy as np
+    items = sorted((k, c) for k, c in hist.counts.items() if k >= 1 and c > 0)
+    if not items:
+        raise ValueError("histogram has no vertices of positive degree")
+    ks = np.array([k for k, _ in items], dtype=float)
+    counts = np.array([c for _, c in items], dtype=float)
+    if k_min is not None:
+        if k_min < 1:
+            raise ValueError(f"k_min must be >= 1, got {k_min}")
+        beta, n, _, _ = reference_fit_at(ks, counts, k_min)
+        return TailFit(beta, int(k_min), n, (beta - 1.0) / math.sqrt(n))
+    best = None
+    for candidate in ks.tolist():
+        try:
+            beta, n, tail_ks, tail_counts = reference_fit_at(ks, counts, candidate)
+        except ValueError:
+            break  # tails only shrink from here on
+        dist = reference_ks_distance(beta, candidate, tail_ks, tail_counts)
+        if best is None or dist < best[0] - 1e-12:
+            best = (dist, beta, int(candidate), n)
+    if best is None:
+        raise ValueError(f"no cutoff leaves {MIN_TAIL_SAMPLES} tail samples")
+    _, beta, kmin, n = best
+    return TailFit(beta, kmin, n, (beta - 1.0) / math.sqrt(n))

@@ -228,6 +228,14 @@ class TestFitTailExponent:
             with pytest.raises(ValueError, match="k_min"):
                 fit_tail_exponent(hist, k_min=k_min)
 
+    def test_non_integral_cutoff_rejected(self):
+        """A cutoff of 5.5 would count the tail from degree 6 but normalize
+        the law from 5."""
+        counts = {k: 10_000 // k ** 2 for k in range(1, 60)}
+        hist = DegreeHistogram(counts, sum(counts.values()))
+        with pytest.raises(ValueError, match=r"^k_min must be an integer, got 5\.5$"):
+            fit_tail_exponent(hist, k_min=5.5)
+        assert fit_tail_exponent(hist, k_min=5.0) == fit_tail_exponent(hist, k_min=5)
 
     def test_underflowing_tail_is_one_value_error_without_warnings(self, recwarn):
         """49 vertices of degree 1000 and one of 1001: the bracket search

@@ -1,16 +1,17 @@
 """Which numpy and scipy modules a run loads.
 
 The growth models, the degree-fraction oracle, the exponents of the
-community model and of the example regressions, and the bounds of a config
-need only the standard library. So importing the package and running
-``generate-h``, ``generate-g``, ``oracle``, ``predict`` on a ``g`` config,
-``bounds --config`` and the ``recurrence_check`` and
-``example_regressions`` experiments loads neither numpy nor scipy.
-Parsing a hyperedge file, flatten, Louvain, scoring, the measured bound
-inputs and the tail fit compute on numpy arrays and load numpy, but no
-scipy module: the tail fit's Hurwitz zeta and root solver are in the
-package. Only the amplitude of ``predict`` on an ``h`` config loads
-``scipy.special`` (for log-gamma), and nothing loads ``scipy.optimize``.
+community model and of the example regressions, the bounds of a config
+and the tail fit need only the standard library. So importing the package,
+running ``generate-h``, ``generate-g``, ``oracle``, ``predict`` on a ``g``
+config, ``bounds --config`` and the ``recurrence_check``,
+``example_regressions`` and ``beta_sweep`` experiments, and fitting a
+histogram's tail load neither numpy nor scipy: the fit's Hurwitz zeta,
+root solver and sums are in the package. Parsing a hyperedge file (and so
+``fit-powerlaw``), flatten, Louvain, scoring and the measured bound inputs
+compute on numpy arrays and load numpy, but no scipy module. Only the
+amplitude of ``predict`` on an ``h`` config loads ``scipy.special`` (for
+log-gamma), and nothing loads ``scipy.optimize``.
 pytest itself loads numpy and scipy, so each case runs in a fresh
 interpreter.
 """
@@ -113,7 +114,7 @@ run("fit-powerlaw", "--input", "{d}/h.txt", "--kmin", "3")
 
 # the cases that load no numpy; every other one computes on arrays
 NO_NUMPY = {"import", "generate-h", "generate-g", "oracle", "predict_g", "bounds_config",
-            "recurrence_check", "example_regressions"}
+            "recurrence_check", "example_regressions", "fit_tail_exponent", "beta_sweep"}
 
 
 def loaded_modules(case, tmp_path):

@@ -6,9 +6,15 @@ Every value must agree bit for bit, not only approximately: the output
 bytes of ``detect``, ``flatten``, ``modularity`` and the experiments
 depend on it. The other way round, ``Hypergraph.degrees`` counts in a plain
 list, so that the generators load no numpy, and ``np.bincount`` is its
-reference.
+reference; the tail fit runs on plain lists and ``math``, and its numpy
+version is the reference. That fit takes ``ln k`` from ``math.log``
+(libm), which numpy's vectorized ``np.log`` rounds differently for a few
+integers on some CPUs, so the comparison draws only degrees where the two
+agree; ``_pairwise_sum`` adds in ``np.sum``'s order on every CPU.
 """
 
+import math
+import random
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from functools import partial
@@ -16,29 +22,36 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypermod import (
+    CardinalityDistribution,
+    DegreeHistogram,
+    HParams,
     Hypergraph,
     Partition,
     analysis,
     cardinality_profile,
     detect_communities,
     empirical_bound_inputs,
+    fit_tail_exponent,
     flatten,
     hypergraph_modularity_score,
     modularity,
     weighted_graph_modularity,
 )
+from hypermod.analysis import _mle_beta, _pairwise_sum
 from hypermod.experiments import uniform_block_params
 from hypermod.geng import generate_g
+from hypermod.genh import generate_h
 from hypermod.modularity import _block_counts, _strict_score, edge_batches
 
 from helpers import (
     adjacency_weights,
     reference_bound_inputs,
     reference_detect_communities,
+    reference_fit_tail_exponent,
     reference_flatten,
     reference_strict_score,
     reference_weighted_modularity,
@@ -178,3 +191,72 @@ def test_planted_runs_equal_reference(uniformity, seed):
         assert (breakdown.edge_contribution, breakdown.degree_tax) == reference_strict_score(
             g, p.block_of, p.num_blocks)
     assert empirical_bound_inputs(g, planted) == reference_bound_inputs(g, planted)
+
+
+@st.composite
+def degree_histograms(draw):
+    """Zipf samples, BA-like grown hypergraphs and Zipf tails under a
+    uniform head, with degrees where ``np.log`` and ``math.log`` agree."""
+    kind = draw(st.sampled_from(["zipf", "ba", "head"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if kind == "ba":
+        params = HParams(0.0, 1.0, [], CardinalityDistribution.constant(2), [],
+                         edges_per_event=draw(st.integers(1, 3)),
+                         gamma=draw(st.sampled_from([0.0, 0.5, 2.0])),
+                         steps=draw(st.integers(50, 3000)))
+        hist = generate_h(params, seed)[0].degree_histogram()
+    else:
+        rng = np.random.default_rng(seed)
+        size = draw(st.integers(1, 5000))
+        degrees = np.minimum(rng.zipf(draw(st.floats(1.8, 3.5)), size), 10 ** 6)
+        if kind == "head":
+            shift = draw(st.integers(1, 8))
+            degrees = np.concatenate([degrees + shift, rng.integers(1, shift + 1, size)])
+        hist = DegreeHistogram(dict(Counter(degrees.tolist())), len(degrees))
+    ks = sorted(k for k in hist.counts if k >= 1)
+    assume(np.log(np.array(ks, dtype=float)).tolist() == [math.log(k) for k in ks])
+    return hist
+
+
+def fit_or_error(fit, hist, k_min):
+    try:
+        return fit(hist, k_min)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(degree_histograms(), st.one_of(st.none(), st.integers(1, 30)))
+def test_tail_fit_equals_reference(hist, k_min):
+    # the cutoff, the tail size and every bit of beta_hat and stderr, or the message
+    assert fit_or_error(fit_tail_exponent, hist, k_min) == \
+        fit_or_error(reference_fit_tail_exponent, hist, k_min)
+
+
+@pytest.mark.parametrize("length", [7, 8, 9, 127, 128, 129, 255, 256, 257, None])
+@settings(max_examples=40)
+@given(st.integers(0, 600), st.integers(0, 2 ** 32 - 1))
+def test_pairwise_sum_adds_like_numpy(length, drawn_length, seed):
+    # the forced lengths sit at the 8-value and 128-value block edges; the
+    # summands mix signs and 24 decades of magnitude
+    rng = random.Random(seed)
+    xs = [rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-12, 12)
+          for _ in range(drawn_length if length is None else length)]
+    assert _pairwise_sum(xs, 0, len(xs)) == float(np.sum(np.array(xs, dtype=float)))
+
+
+def test_tail_fit_takes_logs_from_math_log():
+    """ln 9170 is one of the integers that numpy's vectorized log rounds
+    differently from libm's on some CPUs (numpy 2.4 on AVX-512); the fit's
+    mean of ln k is the ``np.sum`` of ``c * math.log(k)`` divided by the
+    tail size. With 1000 extra vertices of degree 9170 the two logs give
+    betas that differ from the 1e-10 digit on, where they differ."""
+    rng = random.Random(2)
+    degrees = Counter(int(9000 * (1.0 - rng.random()) ** -0.5) for _ in range(2000))
+    degrees[9170] += 1000
+    hist = DegreeHistogram(dict(degrees), sum(degrees.values()))
+    tail = sorted(degrees.items())
+    n = sum(c for _, c in tail)
+    mean_ln = float(np.sum(np.array([c * math.log(k) for k, c in tail]))) / n
+    fit = fit_tail_exponent(hist, k_min=9000)
+    assert (fit.beta_hat, fit.n_tail) == (_mle_beta(mean_ln, 9000), n)
