@@ -158,7 +158,14 @@ def _cmd_bounds(args):
             raise ConfigError("--input also needs --communities for the labels")
         h = files.parse_hypergraph(args.input)
         labels = files.parse_labels(args.communities, h.num_vertices)
-        inputs = empirical_bound_inputs(h, Partition(labels, params.num_communities))
+        r = params.num_communities
+        top = max(labels, default=0)
+        if top >= r:
+            raise ValueError(f"{args.communities}: vertex {labels.index(top)} has block {top}, "
+                             f"but {args.config} has {r} communities")
+        inputs = empirical_bound_inputs(h, Partition(labels, r))
+    elif args.communities:
+        raise ConfigError("--communities also needs --input for the hyperedge list")
     else:
         pmf = expected_cardinality_size_pmf(params)
         delta = sum(ell * p for ell, p in pmf.items())

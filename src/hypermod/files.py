@@ -13,7 +13,8 @@ from functools import cache
 from .hypergraph import Hypergraph
 from .modularity import Partition
 
-# Vertex ids and #vertices counts must be below this: the store is int64.
+# Vertex ids and #vertices counts must be below this: the store's arrays
+# start as int32 and widen to int64 when a value needs it, but go no wider.
 _ID_LIMIT = 2 ** 63
 # Characters per read. It keeps the bulk reader's arrays (at most 8 bytes
 # per character) below 128 KiB, glibc's initial mmap threshold: freeing a
@@ -112,7 +113,8 @@ def _add_lines(h, path, body, lineno, declared):
     if rule_lines:  # their ids come from the per-line rule
         values[by_rule[np.searchsorted(newlines, starts)]] = -1
     _add_vertices(h, int(values.max(initial=-1)) + 1)
-    ids = array("q", values.tobytes())
+    h.widen()
+    ids = array(h.members.typecode, values.astype(h.members.typecode).tobytes())
     lines = None
     lo = 0
     for i, hi in enumerate(np.searchsorted(starts, newlines).tolist()):

@@ -90,14 +90,15 @@ EDGE_BATCH = 1 << 15
 
 def edge_batches(h, size=EDGE_BATCH):
     """The hyperedges in runs of at most ``size`` memberships (or of one edge):
-    per run, its members as int64 and its edge offsets counted from 0."""
+    per run, its members and its edge offsets counted from 0, as views in
+    the store's dtypes (``Hypergraph.arrays``)."""
     import numpy as np
     members, offsets = h.arrays()
     first = 0
     while first < h.num_edges:
-        last = max(first + 1,
-                   int(np.searchsorted(offsets, offsets[first] + size, side="right")) - 1)
-        yield members[offsets[first]:offsets[last]], offsets[first:last + 1] - offsets[first]
+        start = int(offsets[first])  # a narrow scalar's sum could wrap
+        last = max(first + 1, int(np.searchsorted(offsets, start + size, side="right")) - 1)
+        yield members[start:offsets[last]], offsets[first:last + 1] - start
         first = last
 
 

@@ -3,9 +3,10 @@
 Each file compares a commit with its parent on every workload that
 ``BENCHMARK.json`` declares. Per workload it keeps the seed, the number of
 alternating parent/change pairs, and the last stdout line of
-``perfbench/run.py`` (one JSON object) for every run on each side; at the
-top it keeps the run length and the machine: ``nproc`` and the Python and
-numpy versions.
+``perfbench/run.py`` (one JSON object, whose metrics are exactly the
+end-to-end ones of ``BENCHMARK.json``, with their units) for every run on
+each side; at the top it keeps the run length and the machine: ``nproc``
+and the Python and numpy versions.
 """
 
 import json
@@ -15,7 +16,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
-WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+END_TO_END = {m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]}
 
 
 def test_a_record_exists():
@@ -34,3 +37,5 @@ def test_bench_file_has_every_workload_and_run(path):
             assert len(runs[side]) == runs["pairs"]
             for result in runs[side]:
                 assert {"correct", "attempted", "failed", "metrics"} <= result.keys()
+                units = {name: m["unit"] for name, m in result["metrics"].items()}
+                assert units == END_TO_END

@@ -254,6 +254,25 @@ def test_bounds_input_without_communities_is_a_config_error(tmp_path, capsys):
     assert err == "config error: --input also needs --communities for the labels\n"
 
 
+def test_bounds_communities_without_input_is_a_config_error(tmp_path, capsys):
+    """Labels without a hyperedge list would be ignored, so they are refused
+    before the labels file is read."""
+    cfg = write(tmp_path, G_CONFIG, "g.txt")
+    assert run_cli(["bounds", "--config", cfg, "--communities",
+                    str(tmp_path / "missing.tsv")]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: --communities also needs --input for the hyperedge list\n")
+
+
+def test_bounds_label_beyond_the_config_communities_is_one_line(tmp_path, capsys):
+    cfg = write(tmp_path, G_CONFIG, "g.txt")  # two communities
+    hpath = write(tmp_path, "0 1\n1 2\n", "h.txt")
+    labels = write(tmp_path, "0\t0\n1\t5\n2\t5\n", "labels.tsv")
+    assert run_cli(["bounds", "--config", cfg, "--input", hpath, "--communities", labels]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {labels}: vertex 1 has block 5, but {cfg} has 2 communities\n")
+
+
 def test_experiment_fig1_csv_columns(tmp_path):
     cfg = write(
         tmp_path,

@@ -9,13 +9,16 @@ the degree-fraction oracle, tail fits with and without a fixed cutoff,
 both bound inputs, and the two experiments that predict or fit
 exponents. The two community sweeps (Figure 1, and `g` against the
 community-free background) are pinned at two replicas and two alphas.
-A changed hash means the output bytes changed for a fixed seed.
+A changed hash means the output bytes changed for a fixed seed. The same
+hashes must come from a store whose arrays start as int8 and so widen to
+int64 at 128 vertices or memberships.
 """
 
 import hashlib
 
 import pytest
 
+from hypermod import hypergraph
 from hypermod.cli import run_cli
 
 H_GAMMA0 = """\
@@ -232,4 +235,10 @@ def fingerprints(case, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_fingerprints(case, tmp_path, capsys):
+    assert fingerprints(case, tmp_path, capsys) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_fingerprints_at_int8_width(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hypergraph, "_NARROW", "b")
     assert fingerprints(case, tmp_path, capsys) == GOLDEN[case]

@@ -22,7 +22,7 @@ from hypermod import (
     hypergraph_modularity_score,
     weighted_graph_modularity,
 )
-from hypermod import files
+from hypermod import files, hypergraph
 from hypermod.cli import run_cli
 from hypermod.files import parse_hypergraph, write_hypergraph
 
@@ -211,10 +211,12 @@ HYPEREDGE_TEXT = st.tuples(
 
 
 @settings(max_examples=300, deadline=None)
-@given(HYPEREDGE_TEXT, st.integers(1, 12))
-def test_bulk_reader_matches_line_rule(text, chunk):
+@given(HYPEREDGE_TEXT, st.integers(1, 12), st.sampled_from(["i", "b"]))
+def test_bulk_reader_matches_line_rule(text, chunk, narrow):
     """Small chunks make lines straddle chunk boundaries, and some lines are
-    longer than a chunk."""
+    longer than a chunk. A store that starts as int8 (``narrow`` "b")
+    widens at the first id from 128 up, in the bulk reader or in a line
+    that takes the per-line rule."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "h.txt"
         path.write_bytes(text.encode())
@@ -222,7 +224,8 @@ def test_bulk_reader_matches_line_rule(text, chunk):
             expected = reference_parse_hypergraph(path)
         except ValueError as e:
             expected = str(e)
-        with mock.patch.object(files, "_CHUNK_CHARS", chunk):
+        with mock.patch.object(files, "_CHUNK_CHARS", chunk), \
+                mock.patch.object(hypergraph, "_NARROW", narrow):
             try:
                 h = parse_hypergraph(path)
                 got = (h.num_vertices, list(h.members), list(h.offsets))
