@@ -30,11 +30,12 @@ from operator import add
 
 from .genh import ParamError
 from .geng import community_marginals, reduce_community
-from .modularity import CardinalityProfile, cardinality_profile, edge_batches, edge_block_span
+from .modularity import CardinalityProfile, block_counts, cardinality_profile, edge_batches
 
 MIN_TAIL_SAMPLES = 50
 # a Hurwitz zeta call costs about as much as this many math.pow terms
 _DIRECT_GAP = 32
+_DBETA = 1e-7  # the central-difference step of zeta's derivative in beta
 
 
 @dataclass
@@ -85,7 +86,7 @@ class BoundInputs:
     ``p_within[i]`` probability a hyperedge lies entirely inside community i;
     ``s_touch[i]``  probability it touches community i at all;
     ``profile``     cardinality mix of the hypergraph;
-    ``max_cardinality`` the bound's uniform cap on hyperedge size.
+    ``max_cardinality`` the bound's uniform cap on hyperedge size, or None if unbounded.
     """
 
     p_within: list
@@ -246,11 +247,11 @@ def _hurwitz_zeta(x, q):
     return s
 
 
-def _mean_log_zeta(beta, k_min, _h=1e-7):
+def _mean_log_zeta(beta, k_min):
     """-zeta'(beta, k_min) / zeta(beta, k_min), the model mean of ln k."""
     q = float(k_min)
     z = _hurwitz_zeta(beta, q)
-    dz = (_hurwitz_zeta(beta + _h, q) - _hurwitz_zeta(beta - _h, q)) / (2.0 * _h)
+    dz = (_hurwitz_zeta(beta + _DBETA, q) - _hurwitz_zeta(beta - _DBETA, q)) / (2.0 * _DBETA)
     if not z:  # zeta underflowed: IEEE's 0/0 = nan and x/0 = inf, where Python raises
         return math.copysign(math.inf, -dz) if abs(dz) > 0 else math.nan
     return -dz / z
@@ -453,16 +454,13 @@ def empirical_bound_inputs(h, communities):
         raise ValueError("need at least one hyperedge")
     profile = cardinality_profile(h)
     community = np.asarray(communities.block_of, dtype=np.int64)
-    within = np.zeros(r, dtype=np.int64)
+    _, within = block_counts(edge_batches(h), community, r)
     touch = np.zeros(r, dtype=np.int64)
     for members, offsets in edge_batches(h):
-        labels = community[members]
-        lo, hi = edge_block_span(labels, offsets)
-        within += np.bincount(lo[lo == hi], minlength=r)
         # an edge touches each of its distinct communities once: count the
         # distinct (edge, community) keys
         keys = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64) * r, np.diff(offsets))
-        keys += labels
+        keys += community[members]
         touch += np.bincount(np.unique(keys) % r, minlength=r)
     return BoundInputs(
         p_within=[w / ne for w in within.tolist()],

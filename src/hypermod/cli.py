@@ -35,10 +35,8 @@ from .modularity import (
 )
 
 
-def _print_kv(pairs, out=None):
-    out = out if out is not None else sys.stdout
-    for key, value in pairs:
-        out.write(f"{key}: {files.format_value(value)}\n")
+def _print_kv(pairs):
+    sys.stdout.writelines(f"{key}: {files.format_value(value)}\n" for key, value in pairs)
 
 
 def _cmd_generate_h(args):
@@ -169,13 +167,18 @@ def _cmd_bounds(args):
     else:
         pmf = expected_cardinality_size_pmf(params)
         delta = sum(ell * p for ell, p in pmf.items())
-        card = CardinalityProfile(pmf, delta)
-        inputs = bound_inputs_from_profile(params.profile, card)
-    general = modularity_lower_bound_general(inputs)
-    relaxed = modularity_lower_bound_ab(
-        inputs.alpha_noise, inputs.beta_max, inputs.profile,
-        inputs.max_cardinality, inputs.num_communities,
-    )
+        inputs = bound_inputs_from_profile(params.profile, CardinalityProfile(pmf, delta))
+        tops = [dist.max_value() for dist in params.edge_sizes]
+        subset_size = max(map(len, params.profile.entries))
+        # the size cap d: the largest size the model can draw, None when unbounded
+        inputs.max_cardinality = None if None in tops else subset_size * max(tops)
+    general = relaxed = float("nan")
+    if inputs.max_cardinality is not None:
+        general = modularity_lower_bound_general(inputs)
+        relaxed = modularity_lower_bound_ab(
+            inputs.alpha_noise, inputs.beta_max, inputs.profile,
+            inputs.max_cardinality, inputs.num_communities,
+        )
     _print_kv([
         ("lemma3_bound", general),
         ("lemma4_bound", relaxed),

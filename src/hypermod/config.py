@@ -230,25 +230,20 @@ def _embedded_h_keys(omit=(), **defaults):
             for key, (f, convert, default) in _H_KEYS.items() if key not in omit}
 
 
+def _g_sweep_keys(uniformity, alphas, p):
+    """The options of the two ``g`` sweeps, which differ only in these defaults."""
+    return {
+        "uniformity": (int, uniformity), "communities": (int, 47),
+        "alphas": (_numbers, alphas), "p": (_number, p),
+        "gamma": (_number, 1.0), "target_vertices": (int, 10000),
+    }, {}
+
+
 # experiment kind -> (its own options: key -> (converter, default), and the
 # ``h`` keys from which it builds ``options["params"]``)
 _EXPERIMENT_KEYS = {
-    "fig1_bound_vs_detected": ({
-        "uniformity": (int, 2),
-        "communities": (int, 47),
-        "alphas": (_numbers, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
-        "p": (_number, 0.25),
-        "gamma": (_number, 1.0),
-        "target_vertices": (int, 10000),
-    }, {}),
-    "g_vs_avin": ({
-        "uniformity": (int, 20),
-        "communities": (int, 47),
-        "alphas": (_numbers, [0.21]),
-        "p": (_number, 0.3),
-        "gamma": (_number, 1.0),
-        "target_vertices": (int, 10000),
-    }, {}),
+    "fig1_bound_vs_detected": _g_sweep_keys(2, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], 0.25),
+    "g_vs_avin": _g_sweep_keys(20, [0.21], 0.3),
     "beta_sweep": (
         {"gamma_values": (_numbers, [0.0, 1.0, 2.0])},
         _embedded_h_keys(omit=("gamma", "cardinality_cap"), steps=100000,

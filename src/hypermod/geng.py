@@ -211,7 +211,7 @@ def reduce_community(params, j):
     )
 
 
-def expected_cardinality_size_pmf(params, eps=1e-12):
+def expected_cardinality_size_pmf(params):
     """Asymptotic hyperedge-size law of the process as {size: probability}.
 
     For a drawn community subset the per-community counts are independent
@@ -221,7 +221,7 @@ def expected_cardinality_size_pmf(params, eps=1e-12):
     r = params.num_communities
     mixture = {}
     for dist in params.edge_sizes:
-        for v, p in dist.pmf_items(eps):
+        for v, p in dist.pmf_items():
             mixture[v] = mixture.get(v, 0.0) + p / r
     out = {}
     for subset, prob in params.profile.items():

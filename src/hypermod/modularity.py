@@ -88,27 +88,21 @@ def first_appearance_labels(block):
 EDGE_BATCH = 1 << 15
 
 
-def edge_batches(h, size=EDGE_BATCH):
-    """The hyperedges in runs of at most ``size`` memberships (or of one edge):
-    per run, its members and its edge offsets counted from 0, as views in
-    the store's dtypes (``Hypergraph.arrays``)."""
+def edge_batches(h):
+    """The hyperedges in runs of at most ``EDGE_BATCH`` memberships (or of one
+    edge): per run, its members and its edge offsets counted from 0, as views
+    in the store's dtypes (``Hypergraph.arrays``)."""
     import numpy as np
     members, offsets = h.arrays()
     first = 0
     while first < h.num_edges:
         start = int(offsets[first])  # a narrow scalar's sum could wrap
-        last = max(first + 1, int(np.searchsorted(offsets, start + size, side="right")) - 1)
+        last = max(first + 1, int(np.searchsorted(offsets, start + EDGE_BATCH, side="right")) - 1)
         yield members[start:offsets[last]], offsets[first:last + 1] - start
         first = last
 
 
-def edge_block_span(blocks, offsets):
-    """Per edge, the smallest and the largest of its members' ``blocks``."""
-    import numpy as np
-    return np.minimum.reduceat(blocks, offsets[:-1]), np.maximum.reduceat(blocks, offsets[:-1])
-
-
-def _block_counts(batches, block_of, num_blocks):
+def block_counts(batches, block_of, num_blocks):
     """Per block, its volume (the memberships of its vertices) and the number
     of hyperedges all of whose members lie in it, as int64 arrays; ``batches``
     are ``edge_batches`` runs and ``block_of`` is an int64 array."""
@@ -118,7 +112,8 @@ def _block_counts(batches, block_of, num_blocks):
     for members, offsets in batches:
         blocks = block_of[members]
         vol += np.bincount(blocks, minlength=num_blocks)
-        lo, hi = edge_block_span(blocks, offsets)
+        starts = offsets[:-1]
+        lo, hi = np.minimum.reduceat(blocks, starts), np.maximum.reduceat(blocks, starts)
         internal += np.bincount(lo[lo == hi], minlength=num_blocks)
     return vol, internal
 
@@ -126,7 +121,7 @@ def _block_counts(batches, block_of, num_blocks):
 def _strict_score(vol, internal, ne, card_fracs):
     """(edge contribution, degree tax) of the strict score.
 
-    ``vol`` and ``internal`` list each block's ``_block_counts`` as ints, for
+    ``vol`` and ``internal`` list each block's ``block_counts`` as ints, for
     ``ne >= 1`` hyperedges; ``card_fracs`` lists (cardinality, fraction)
     pairs in increasing cardinality. A hyperedge is internal to block b only
     when all of its members lie in b; block b pays
@@ -170,8 +165,8 @@ def hypergraph_modularity_score(h, part):
         raise ValueError("partition size does not match the vertex count")
     if h.num_edges == 0:
         return ModularityBreakdown(0.0, 0.0, 0.0)
-    vol, internal = _block_counts(edge_batches(h), np.asarray(part.block_of, dtype=np.int64),
-                                  part.num_blocks)
+    vol, internal = block_counts(edge_batches(h), np.asarray(part.block_of, dtype=np.int64),
+                                 part.num_blocks)
     ec, tax = _strict_score(vol.tolist(), internal.tolist(), h.num_edges,
                             cardinality_profile(h).a.items())
     return ModularityBreakdown(ec, tax, ec - tax)
@@ -240,7 +235,7 @@ def brute_force_modularity(h, max_vertices=12):
         copy_members = (members + shift * n).ravel()
         copy_offsets = np.append((offsets[:-1] + shift * len(members)).ravel(),
                                  copies * len(members))
-        vol, internal = _block_counts([(copy_members, copy_offsets)], block_of, copies * n)
+        vol, internal = block_counts([(copy_members, copy_offsets)], block_of, copies * n)
         for a, vol_a, internal_a in zip(chunk, vol.reshape(copies, n).tolist(),
                                         internal.reshape(copies, n).tolist()):
             ec, tax = _strict_score(vol_a, internal_a, ne, card_fracs)

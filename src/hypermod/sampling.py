@@ -15,6 +15,8 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate
 
+PMF_TAIL_MASS = 1e-12  # the tail mass that ``pmf_items`` drops from a Poisson law
+
 
 def make_rng(seed):
     """Deterministic generator stream for one run."""
@@ -97,8 +99,8 @@ class CardinalityDistribution:
             return sum(v * q for v, q in zip(p["values"], p["probs"]))
         return p["lam"] + p["shift"]
 
-    def pmf_items(self, eps=1e-12):
-        """(value, probability) pairs; Poisson support truncated to mass 1-eps."""
+    def pmf_items(self):
+        """(value, probability) pairs; a Poisson support stops at mass 1 - ``PMF_TAIL_MASS``."""
         p = self.params
         if self.kind == "constant":
             return [(p["value"], 1.0)]
@@ -111,12 +113,18 @@ class CardinalityDistribution:
         items = []
         q = math.exp(-lam)
         k, acc = 0, 0.0
-        while acc < 1.0 - eps:
+        while acc < 1.0 - PMF_TAIL_MASS:
             items.append((k + shift, q))
             acc += q
             k += 1
             q *= lam / k
         return items
+
+    def max_value(self):
+        """The support's largest value; None for a Poisson law with ``lam > 0``."""
+        if self.kind == "shifted_poisson" and self.params["lam"] > 0:
+            return None
+        return max(v for v, _ in self.pmf_items())
 
     def sample(self, rng):
         p = self.params

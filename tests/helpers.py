@@ -31,17 +31,39 @@ def edge_sizes(h):
     return [offsets[i + 1] - offsets[i] for i in range(h.num_edges)]
 
 
-def max_value(dist):
-    """Largest value in the support of a ``CardinalityDistribution``, or None
-    when unbounded."""
-    p = dist.params
-    if dist.kind == "constant":
-        return p["value"]
-    if dist.kind == "uniform_int":
-        return p["hi"]
-    if dist.kind == "categorical":
-        return max(p["values"])
-    return None
+def naive_score(h, part):
+    """The strict score straight from the definition, kept independent of
+    ``hypermod.modularity`` on purpose."""
+    ne = h.num_edges
+    if ne == 0:
+        return 0.0
+    degrees, edges = h.degrees, h.edges
+    vol_v = sum(degrees)
+    card = Counter(len(e) for e in edges)
+    q = 0.0
+    for b in range(part.num_blocks):
+        verts = {v for v in range(h.num_vertices) if part.block_of[v] == b}
+        within = sum(1 for e in edges if set(e) <= verts)
+        vol_a = sum(degrees[v] for v in verts)
+        q += within / ne
+        q -= sum((cnt / ne) * (vol_a / vol_v) ** ell for ell, cnt in card.items())
+    return q
+
+
+def reference_select(occ, pool, count, gamma, rng):
+    """The selection law drawn one vertex at a time, sharing no code with
+    ``sampling.select_vertices``: ``occ`` lists each vertex of the population
+    once per unit of degree, ``pool`` each vertex once."""
+    out = []
+    for _ in range(count):
+        d, n = len(occ), len(pool)
+        if gamma == 0.0:
+            out.append(occ[int(rng.random() * d)])
+        elif rng.random() * (d + gamma * n) < d:
+            out.append(occ[int(rng.random() * d)])
+        else:
+            out.append(pool[int(rng.random() * n)])
+    return out
 
 
 def marginals(sel):

@@ -38,6 +38,8 @@ from hypermod.experiments import (
 )
 from hypermod.hypergraph import DegreeHistogram
 
+from helpers import naive_score
+
 CONST = CardinalityDistribution.constant
 
 
@@ -144,22 +146,6 @@ def test_criterion_5_fig1_reproduction():
     _report(5, f"sweep ordering holds; worst 20-uniform |bound-detected|={worst_gap:.4f} ({elapsed:.0f}s)")
 
 
-def _naive_definition_score(h, part):
-    """Independent evaluation straight from the definition."""
-    ne = h.num_edges
-    degrees, edges = h.degrees, h.edges
-    vol_total = sum(degrees)
-    card = Counter(len(e) for e in edges)
-    score = 0.0
-    for b in range(part.num_blocks):
-        block = {v for v in range(h.num_vertices) if part.block_of[v] == b}
-        within = sum(1 for e in edges if set(e) <= block)
-        vol = sum(degrees[v] for v in block)
-        score += within / ne
-        score -= sum((cnt / ne) * (vol / vol_total) ** ell for ell, cnt in card.items())
-    return score
-
-
 def test_criterion_6_brute_force_equivalence():
     t0 = time.time()
     rng = random.Random(2718)
@@ -175,7 +161,7 @@ def test_criterion_6_brute_force_equivalence():
             h.add_hyperedge([rng.randrange(n) for _ in range(size)])
         part = Partition([rng.randrange(3) for _ in range(n)], 3)
         fast = hypergraph_modularity_score(h, part).score
-        assert fast == pytest.approx(_naive_definition_score(h, part), abs=1e-12)
+        assert fast == pytest.approx(naive_score(h, part), abs=1e-12)
         _, best_q = brute_force_modularity(h)
         detected = detect_communities(flatten(h), seed=trial)
         assert hypergraph_modularity_score(h, detected).score <= best_q + 1e-9

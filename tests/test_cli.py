@@ -5,6 +5,8 @@ from hypermod.cli import run_cli
 from hypermod.files import parse_hypergraph, parse_labels, write_hypergraph, write_partition
 from hypermod.hypergraph import Hypergraph
 
+from test_golden import G_THREE
+
 BA_CONFIG = """\
 model: h
 p_ve: 1.0
@@ -170,6 +172,25 @@ def test_bounds_subcommand_analytic(tmp_path, capsys):
     assert "lemma3_bound:" in out and "lemma4_bound:" in out
     alpha = float(next(l for l in out.splitlines() if l.startswith("alpha_noise:")).split(":")[1])
     assert alpha == pytest.approx(0.2, abs=1e-12)
+
+
+def test_bounds_config_only_with_an_unbounded_size_law_prints_nan(tmp_path, capsys):
+    """A Poisson size law has no largest size, so the bounds' size cap, and
+    with it both lemma bounds, are undefined; the noise lines stay."""
+    cfg = write(tmp_path, G_THREE, "g.txt")
+    assert run_cli(["bounds", "--config", cfg]) == 0
+    assert capsys.readouterr().out == (
+        "lemma3_bound: nan\nlemma4_bound: nan\nalpha_noise: 0.29999999999999993\nbeta_max: 0.4\n")
+
+
+def test_bounds_config_only_with_bounded_sizes_keeps_its_output(tmp_path, capsys):
+    """With every size law bounded, the size cap is the largest size the
+    model draws (3 * 5 here), which is also the expected-size pmf's largest."""
+    cfg = write(tmp_path, G_THREE.replace("shifted_poisson(1.0,2)", "uniform_int(1,5)"), "g.txt")
+    assert run_cli(["bounds", "--config", cfg]) == 0
+    assert capsys.readouterr().out == (
+        "lemma3_bound: -876.1458686267705\nlemma4_bound: -80904766387954.89\n"
+        "alpha_noise: 0.29999999999999993\nbeta_max: 0.4\n")
 
 
 def test_oracle_subcommand(tmp_path):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hypermod import GParams, HParams
+from hypermod import CardinalityDistribution, GParams, HParams
 from hypermod.config import (
     _EXPERIMENT_KEYS,
     _G_KEYS,
@@ -128,6 +128,45 @@ def test_experiment_config(tmp_path):
     assert spec.replicas == 2
     assert spec.options["alphas"] == [0.0, 0.25, 0.5]
     assert spec.options["uniformity"] == 20
+
+
+# each kind's options when its config sets nothing it need not: every
+# probability of ``beta_sweep``'s process defaults to 0, so it sets one
+EXPERIMENT_DEFAULTS = {
+    "fig1_bound_vs_detected": ("", {
+        "uniformity": 2, "communities": 47, "alphas": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
+        "p": 0.25, "gamma": 1.0, "target_vertices": 10000,
+    }),
+    "g_vs_avin": ("", {
+        "uniformity": 20, "communities": 47, "alphas": [0.21],
+        "p": 0.3, "gamma": 1.0, "target_vertices": 10000,
+    }),
+    "beta_sweep": ("p_v: 1\n", {
+        "gamma_values": [0.0, 1.0, 2.0],
+        "params": HParams(1.0, 0.0, [], CardinalityDistribution.constant(2), [],
+                          edges_per_event=1, gamma=0.0, steps=100000, cap_sizes=False),
+    }),
+    "example_regressions": ("", {}),
+    "recurrence_check": ("", {
+        "k_max": 20,
+        "params": HParams(0.3, 0.3, [0.4], CardinalityDistribution.constant(3),
+                          [CardinalityDistribution.constant(3)], edges_per_event=1,
+                          gamma=1.0, steps=100000, cap_sizes=False),
+    }),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENT_DEFAULTS))
+def test_experiment_defaults(tmp_path, kind):
+    extra, expected = EXPERIMENT_DEFAULTS[kind]
+    spec = parse_experiment_config(write(tmp_path, f"kind: {kind}\n{extra}"))
+    assert spec.replicas == 1
+    # repr: a distribution compares by identity, and the key order is pinned too
+    assert repr(spec.options) == repr(expected)
+
+
+def test_every_experiment_kind_has_pinned_defaults():
+    assert sorted(EXPERIMENT_DEFAULTS) == sorted(_EXPERIMENT_KEYS)
 
 
 def test_experiment_unknown_kind(tmp_path):

@@ -22,7 +22,7 @@ from hypermod.geng import expected_cardinality_size_pmf
 from hypermod.hypergraph import Hypergraph
 from hypermod.sampling import PreferentialSelector, cumulative, make_rng
 
-from helpers import recomputed_degrees
+from helpers import recomputed_degrees, reference_select
 
 CONST = CardinalityDistribution.constant
 
@@ -154,22 +154,6 @@ def test_single_community_reduction_is_bit_identical():
     assert g.degrees == h.degrees
 
 
-def _reference_select(occ, pool, count, gamma, rng):
-    """The selection law drawn one vertex at a time, sharing no code with
-    ``sampling.select_vertices``: ``occ`` lists each community member once
-    per unit of degree, ``pool`` each member once."""
-    out = []
-    for _ in range(count):
-        d, n = len(occ), len(pool)
-        if gamma == 0.0:
-            out.append(occ[int(rng.random() * d)])
-        elif rng.random() * (d + gamma * n) < d:
-            out.append(occ[int(rng.random() * d)])
-        else:
-            out.append(pool[int(rng.random() * n)])
-    return out
-
-
 def _reference_g_step(g, community, params, urns, rng):
     """One step of the community process whose urns ``[(occ, pool), ...]``
     grow one membership at a time, each routed by the vertex's label in
@@ -185,7 +169,7 @@ def _reference_g_step(g, community, params, urns, rng):
     for c in subset:
         slot = 0 if r == 1 else int(rng.random() * r)
         count = params.edge_sizes[slot].sample(rng)
-        members.extend(_reference_select(*urns[c], count, params.gamma, rng))
+        members.extend(reference_select(*urns[c], count, params.gamma, rng))
     g.add_hyperedge(members)
     for v in members:
         urns[community[v]][0].append(v)

@@ -17,7 +17,7 @@ from hypermod.genh import (
 )
 from hypermod.sampling import make_rng, select_vertices
 
-from helpers import recomputed_degrees
+from helpers import recomputed_degrees, reference_select
 
 CONST = CardinalityDistribution.constant
 
@@ -220,22 +220,6 @@ def test_stats_weight_column_tracks_smoothing():
         assert w == pytest.approx(d + 2.5 * v)
 
 
-def _reference_select(occ, pool, count, gamma, rng):
-    """The selection law drawn one vertex at a time, sharing no code with
-    ``sampling.select_vertices``: ``occ`` lists each vertex once per unit
-    of degree, ``pool`` each vertex once."""
-    out = []
-    for _ in range(count):
-        d, n = len(occ), len(pool)
-        if gamma == 0.0:
-            out.append(occ[int(rng.random() * d)])
-        elif rng.random() * (d + gamma * n) < d:
-            out.append(occ[int(rng.random() * d)])
-        else:
-            out.append(pool[int(rng.random() * n)])
-    return out
-
-
 def _reference_h_step(h, params, occ, pool, t, rng):
     """One step of the general process drawn from an occurrence list of its
     own, grown one membership at a time: the simple path ``h_step`` replaces."""
@@ -247,7 +231,7 @@ def _reference_h_step(h, params, occ, pool, t, rng):
     m, gamma = params.edges_per_event, params.gamma
     if u < params.p_vertex_edge:
         y = sample_size(params.attach_size, t, params.cap_sizes, rng)
-        new_edges = [_reference_select(occ, pool, y - 1, gamma, rng) for _ in range(m)]
+        new_edges = [reference_select(occ, pool, y - 1, gamma, rng) for _ in range(m)]
         v = h.add_vertex()
         pool.append(v)
         for others in new_edges:
@@ -259,7 +243,7 @@ def _reference_h_step(h, params, occ, pool, t, rng):
     for i, p in enumerate(params.p_edge):
         if u < p:
             x = sample_size(params.edge_sizes[i], t, params.cap_sizes, rng)
-            new_edges = [_reference_select(occ, pool, x, gamma, rng) for _ in range(m)]
+            new_edges = [reference_select(occ, pool, x, gamma, rng) for _ in range(m)]
             for members in new_edges:
                 h.add_hyperedge(members)
                 occ.extend(members)

@@ -193,7 +193,7 @@ GOLDEN = {
     },
     "g_predict_bounds": {
         "stdout_0": "edf518a5b67e38a708c2afec0fd4f026f08ce5d327603e1585f960649174246c",
-        "stdout_1": "3ea72695eab3d92ad9c31cb36ded5526a393dfbfdf81f94689055b352403aaa2",
+        "stdout_1": "181f2348ade031bf65014a4c325d3f51f718abd72e692e06a243d9cef1a28f29",
         "stdout_2": "afadbcdcb5a44c2aa4f6505a538e67ceee24e7a89d652ca2d7f397ed4b58d326",
         "stdout_3": "743dbfa32ff8b1f232324ee1eb05ff8470813c5617a7d21363feeb7a6ac55697",
         "out_g.txt": "553de47dba7346b2aed5f303dbc79402550620399e0109fca92825fc38374e31",

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 
@@ -14,7 +13,7 @@ from hypermod import (
     weighted_graph_modularity,
 )
 
-from helpers import blocks
+from helpers import blocks, naive_score
 
 
 def build(num_vertices, edges):
@@ -24,24 +23,6 @@ def build(num_vertices, edges):
     for e in edges:
         h.add_hyperedge(e)
     return h
-
-
-def naive_score(h, part):
-    """Straight-from-the-definition evaluator, kept independent on purpose."""
-    ne = h.num_edges
-    if ne == 0:
-        return 0.0
-    degrees, edges = h.degrees, h.edges
-    vol_v = sum(degrees)
-    card = Counter(len(e) for e in edges)
-    q = 0.0
-    for b in range(part.num_blocks):
-        verts = {v for v in range(h.num_vertices) if part.block_of[v] == b}
-        within = sum(1 for e in edges if set(e) <= verts)
-        vol_a = sum(degrees[v] for v in verts)
-        q += within / ne
-        q -= sum((cnt / ne) * (vol_a / vol_v) ** ell for ell, cnt in card.items())
-    return q
 
 
 def random_hypergraph(rng, max_vertices=10, max_edges=8):

@@ -17,7 +17,6 @@ import math
 import random
 from collections import Counter
 from contextlib import contextmanager, nullcontext
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -31,7 +30,6 @@ from hypermod import (
     HParams,
     Hypergraph,
     Partition,
-    analysis,
     cardinality_profile,
     detect_communities,
     empirical_bound_inputs,
@@ -45,7 +43,7 @@ from hypermod.analysis import _mle_beta, _pairwise_sum
 from hypermod.experiments import uniform_block_params
 from hypermod.geng import generate_g
 from hypermod.genh import generate_h
-from hypermod.modularity import _block_counts, _strict_score, edge_batches
+from hypermod.modularity import _strict_score, block_counts
 
 from helpers import (
     adjacency_weights,
@@ -87,9 +85,7 @@ SMALL_BATCH = 4
 @contextmanager
 def small_batches():
     """``edge_batches`` cut into runs of ``SMALL_BATCH`` memberships, wherever it is called."""
-    batches = partial(edge_batches, size=SMALL_BATCH)
-    with mock.patch.object(modularity, "edge_batches", batches), \
-            mock.patch.object(analysis, "edge_batches", batches):
+    with mock.patch.object(modularity, "EDGE_BATCH", SMALL_BATCH):
         yield
 
 
@@ -160,9 +156,9 @@ def test_scores_equal_reference(h, data):
         wg = flatten(h)
         flattened = weighted_graph_modularity(wg, part)
         if h.num_edges:
-            vol, internal = _block_counts(modularity.edge_batches(h),
-                                          np.asarray(part.block_of, dtype=np.int64),
-                                          part.num_blocks)
+            vol, internal = block_counts(modularity.edge_batches(h),
+                                         np.asarray(part.block_of, dtype=np.int64),
+                                         part.num_blocks)
             strict = _strict_score(vol.tolist(), internal.tolist(), h.num_edges,
                                    cardinality_profile(h).a.items())
             inputs = empirical_bound_inputs(h, part)

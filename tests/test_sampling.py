@@ -7,7 +7,7 @@ import pytest
 from hypermod import CardinalityDistribution, PreferentialSelector, make_rng
 from hypermod.genh import HParams, generate_h
 
-from helpers import marginals, max_value
+from helpers import marginals
 
 
 class TestCardinalityDistribution:
@@ -27,12 +27,20 @@ class TestCardinalityDistribution:
             CardinalityDistribution.shifted_poisson(1.5, 2),
         ]
         for dist in dists:
-            top = max_value(dist)
+            top = dist.max_value()
             for _ in range(500):
                 z = dist.sample(rng)
                 assert z >= 1
                 if top is not None:
                     assert z <= top
+
+    def test_max_value_is_the_top_of_the_support(self):
+        assert CardinalityDistribution.constant(3).max_value() == 3
+        assert CardinalityDistribution.uniform_int(2, 6).max_value() == 6
+        assert CardinalityDistribution.categorical([9, 1, 4], [0.5, 0.2, 0.3]).max_value() == 9
+        # lam == 0 puts all the mass on the shift
+        assert CardinalityDistribution.shifted_poisson(0.0, 3).max_value() == 3
+        assert CardinalityDistribution.shifted_poisson(1.5, 2).max_value() is None
 
     def test_sample_frequencies_match_categorical(self):
         rng = make_rng(7)

@@ -8,6 +8,7 @@ store that is int64 from the start (``"q"``).
 
 import random
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hypermod import (
     graph_modularity_score,
     hypergraph,
     hypergraph_modularity_score,
+    modularity,
 )
 from hypermod.files import parse_hypergraph
 from hypermod.modularity import edge_batches
@@ -172,7 +174,8 @@ def test_parse_matches_an_int64_store(monkeypatch, tmp_path, chunk):
 def consumers(h, part):
     """What each numpy reader of the store makes of ``h``."""
     two_uniform = store([e[:1] * 2 for e in h.edge_members()], h.num_vertices)
-    batches = [(m.tolist(), o.tolist()) for m, o in edge_batches(h, size=7)]
+    with mock.patch.object(modularity, "EDGE_BATCH", 7):
+        batches = [(m.tolist(), o.tolist()) for m, o in edge_batches(h)]
     out = {
         "batches": batches,
         "flatten": flatten(h).weights,
