@@ -29,7 +29,7 @@ from itertools import accumulate, repeat
 from operator import add
 
 from .genh import ParamError
-from .geng import community_marginals, reduce_community
+from .geng import community_marginals, expected_cardinality_size_pmf, reduce_community
 from .modularity import CardinalityProfile, block_counts, cardinality_profile, edge_batches
 
 MIN_TAIL_SAMPLES = 50
@@ -93,7 +93,10 @@ class BoundInputs:
     s_touch: list
     profile: CardinalityProfile
     max_cardinality: int
-    num_communities: int
+
+    @property
+    def num_communities(self):
+        return len(self.p_within)
 
     @property
     def alpha_noise(self):
@@ -121,6 +124,12 @@ def _rates(params):
             "the new vertex's own attachment degree",
         )
     return vertex_rate, degree_rate, (degree_rate + params.gamma * vertex_rate) / denom
+
+
+def predicted_beta(params):
+    """``predict_beta_h``'s beta from the rates alone, without the amplitude
+    and so without scipy."""
+    return 1.0 + _rates(params)[2]
 
 
 def predict_beta_h(params):
@@ -186,7 +195,7 @@ def predict_beta_g(params):
                 ("profile",),
                 f"community {j} receives vertices but never hyperedges (touch probability 0)",
             )
-        betas.append(1.0 + _rates(reduce_community(params, j))[2])
+        betas.append(predicted_beta(reduce_community(params, j)))
     return min(betas), betas
 
 
@@ -426,20 +435,23 @@ def fit_tail_exponent(hist, k_min=None):
     return TailFit(beta, kmin, n, (beta - 1.0) / math.sqrt(n))
 
 
-def bound_inputs_from_profile(profile, card_profile):
-    """Bound inputs implied by a community profile and a cardinality mix.
+def bound_inputs_from_profile(params):
+    """Bound inputs of a community model's ``GParams``, from the config alone.
 
     A hyperedge lies within community i exactly when its community set is
-    the singleton {i}; the touch probabilities are the profile marginals.
+    the singleton {i}; the touch probabilities are the profile marginals and
+    the cardinality mix is the expected hyperedge-size law. The size cap d
+    is the largest size the model can draw (the largest subset size times
+    the largest size of any size law), or None when a size law is unbounded.
     """
-    r = profile.num_communities
-    p_within = [profile.probability((i,)) for i in range(r)]
+    profile = params.profile
+    pmf = expected_cardinality_size_pmf(params)
+    tops = [dist.max_value() for dist in params.edge_sizes]
     return BoundInputs(
-        p_within=p_within,
+        p_within=[profile.probability((i,)) for i in range(profile.num_communities)],
         s_touch=community_marginals(profile),
-        profile=card_profile,
-        max_cardinality=card_profile.max_cardinality,
-        num_communities=r,
+        profile=CardinalityProfile(pmf, sum(ell * p for ell, p in pmf.items())),
+        max_cardinality=None if None in tops else max(map(len, profile.entries)) * max(tops),
     )
 
 
@@ -467,7 +479,6 @@ def empirical_bound_inputs(h, communities):
         s_touch=[t / ne for t in touch.tolist()],
         profile=profile,
         max_cardinality=profile.max_cardinality,
-        num_communities=r,
     )
 
 

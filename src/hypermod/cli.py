@@ -24,61 +24,39 @@ from .analysis import (
 from .config import ConfigError, config_keys, parse_experiment_config, parse_model_config
 from .experiments import run_experiment
 from .genh import HParams, generate_h
-from .geng import expected_cardinality_size_pmf, generate_g
+from .geng import generate_g
 from .louvain import detect_communities
-from .modularity import (
-    CardinalityProfile,
-    Partition,
-    flatten,
-    hypergraph_modularity_score,
-    weighted_graph_modularity,
-)
+from .modularity import Partition, flatten, hypergraph_modularity_score, weighted_graph_modularity
 
 
 def _print_kv(pairs):
     sys.stdout.writelines(f"{key}: {files.format_value(value)}\n" for key, value in pairs)
 
 
-def _cmd_generate_h(args):
-    params = parse_model_config(args.config, "h")
+def _cmd_generate(args):
+    params = parse_model_config(args.config, args.model)
     if args.steps is not None:
         params.steps = args.steps
-    h, stats = generate_h(params, args.seed)
+    header = ["t", "vertices", "edges", "degree_sum"]
+    if args.model == "h":
+        h, stats = generate_h(params, args.seed)
+        header.append("weight_sum")
+        rows = stats.records
+    else:
+        h, planted, stats = generate_g(params, args.seed)
+        r = params.num_communities
+        header += [f"size_{j}" for j in range(r)] + [f"deg_{j}" for j in range(r)]
+        rows = [(t, v, e, d, *sizes, *degs) for (t, v, e, d, _), (_, sizes, degs)
+                in zip(stats.records, stats.community_records)]
     files.write_hypergraph(h, args.out)
+    if args.communities:
+        files.write_labels(planted.block_of, args.communities)
     if args.stats:
-        files.write_csv(
-            args.stats,
-            ["t", "vertices", "edges", "degree_sum", "weight_sum"],
-            stats.records,
-        )
+        files.write_csv(args.stats, header, rows)
     _print_kv([
         ("vertices", h.num_vertices),
         ("edges", h.num_edges),
         ("degree_sum", h.degree_sum),
-    ])
-    return 0
-
-
-def _cmd_generate_g(args):
-    params = parse_model_config(args.config, "g")
-    if args.steps is not None:
-        params.steps = args.steps
-    g, planted, stats = generate_g(params, args.seed)
-    files.write_hypergraph(g, args.out)
-    if args.communities:
-        files.write_labels(planted.block_of, args.communities)
-    if args.stats:
-        rows = []
-        for (t, v, e, d, _), (_, sizes, degs) in zip(stats.records, stats.community_records):
-            rows.append((t, v, e, d, *sizes, *degs))
-        r = params.num_communities
-        header = ["t", "vertices", "edges", "degree_sum"]
-        header += [f"size_{j}" for j in range(r)] + [f"deg_{j}" for j in range(r)]
-        files.write_csv(args.stats, header, rows)
-    _print_kv([
-        ("vertices", g.num_vertices),
-        ("edges", g.num_edges),
-        ("degree_sum", g.degree_sum),
     ])
     return 0
 
@@ -130,22 +108,20 @@ def _cmd_fit_powerlaw(args):
 
 def _cmd_predict(args):
     params = parse_model_config(args.config)
-    if isinstance(params, HParams):
-        with config_keys(params):
+    with config_keys(params):
+        if isinstance(params, HParams):
             pred = predict_beta_h(params)
-        _print_kv([
-            ("beta", pred.beta),
-            ("vertex_rate", pred.vertex_rate),
-            ("degree_rate", pred.degree_rate),
-            ("tail_ratio", pred.tail_ratio),
-            ("amplitude", pred.amplitude),
-        ])
-    else:
-        with config_keys(params):
+            pairs = [
+                ("beta", pred.beta),
+                ("vertex_rate", pred.vertex_rate),
+                ("degree_rate", pred.degree_rate),
+                ("tail_ratio", pred.tail_ratio),
+                ("amplitude", pred.amplitude),
+            ]
+        else:
             beta, per_community = predict_beta_g(params)
-        pairs = [("beta", beta)]
-        pairs += [(f"beta_{j}", b) for j, b in enumerate(per_community)]
-        _print_kv(pairs)
+            pairs = [("beta", beta)] + [(f"beta_{j}", b) for j, b in enumerate(per_community)]
+    _print_kv(pairs)
     return 0
 
 
@@ -165,13 +141,7 @@ def _cmd_bounds(args):
     elif args.communities:
         raise ConfigError("--communities also needs --input for the hyperedge list")
     else:
-        pmf = expected_cardinality_size_pmf(params)
-        delta = sum(ell * p for ell, p in pmf.items())
-        inputs = bound_inputs_from_profile(params.profile, CardinalityProfile(pmf, delta))
-        tops = [dist.max_value() for dist in params.edge_sizes]
-        subset_size = max(map(len, params.profile.entries))
-        # the size cap d: the largest size the model can draw, None when unbounded
-        inputs.max_cardinality = None if None in tops else subset_size * max(tops)
+        inputs = bound_inputs_from_profile(params)
     general = relaxed = float("nan")
     if inputs.max_cardinality is not None:
         general = modularity_lower_bound_general(inputs)
@@ -229,22 +199,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate-h", help="run the general growth model")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=_int_at_least("steps", 0), default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--stats", default=None)
-    p.set_defaults(func=_cmd_generate_h)
-
-    p = sub.add_parser("generate-g", help="run the community-structured model")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=_int_at_least("steps", 0), default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--communities", default=None)
-    p.add_argument("--stats", default=None)
-    p.set_defaults(func=_cmd_generate_g)
+    for model, about in (("h", "general growth"), ("g", "community-structured")):
+        p = sub.add_parser(f"generate-{model}", help=f"run the {about} model")
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--steps", type=_int_at_least("steps", 0), default=None)
+        p.add_argument("--out", required=True)
+        if model == "g":
+            p.add_argument("--communities", default=None)
+        p.add_argument("--stats", default=None)
+        p.set_defaults(func=_cmd_generate, model=model, communities=None)
 
     p = sub.add_parser("modularity", help="score a partition on a hypergraph")
     p.add_argument("--input", required=True)

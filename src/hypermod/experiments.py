@@ -12,11 +12,11 @@ from dataclasses import replace
 from statistics import fmean, stdev
 
 from .analysis import (
-    _rates,
     degree_fraction_oracle,
     empirical_bound_inputs,
     fit_tail_exponent,
     modularity_lower_bound_general,
+    predicted_beta,
 )
 from .files import write_csv
 from .genh import HParams, generate_h
@@ -135,8 +135,7 @@ def g_vs_avin(options, replicas, seed):
 def beta_sweep(options, replicas, seed):
     """Fitted tail exponents of ``options["params"]`` at each ``gamma_values`` entry.
 
-    The theory column is ``predict_beta_h``'s beta taken from the rates
-    alone, as in ``example_regressions``, so a sweep loads no scipy module.
+    The theory column is ``predicted_beta``, so a sweep loads no scipy module.
     """
     def run(params, run_seed):
         return fit_tail_exponent(generate_h(params, run_seed)[0].degree_histogram()).beta_hat
@@ -145,28 +144,28 @@ def beta_sweep(options, replicas, seed):
     points = [replace(options["params"], gamma=gamma) for gamma in gammas]
     fits = _sweep(points, replicas, seed, run)
     return ["gamma", "beta_theory", "beta_hat_mean", "beta_hat_sd"], [
-        (gamma, 1.0 + _rates(params)[2], fmean(f), _stdev(f))
+        (gamma, predicted_beta(params), fmean(f), _stdev(f))
         for gamma, params, f in zip(gammas, points, fits)]
 
 
 def example_regressions(options, replicas, seed):
     """Closed-form exponent checks for three classic configurations.
 
-    The exponent is ``predict_beta_h``'s beta, taken from the rates alone:
-    its amplitude needs scipy's log-gamma and no row reads it.
+    The exponent is ``predicted_beta``: ``predict_beta_h``'s amplitude needs
+    scipy's log-gamma and no row reads it.
     """
     two = CardinalityDistribution.constant(2)
     rows = []
     ba = HParams(0.0, 1.0, [], two, [], edges_per_event=3, gamma=0.0)
-    rows.append(("ba_m3", 1.0 + _rates(ba)[2], 3.0))
+    rows.append(("ba_m3", predicted_beta(ba), 3.0))
     for p in (0.1, 0.5, 0.9):
         cl = HParams(0.0, p, [1.0 - p], two, [two], edges_per_event=1, gamma=0.0)
-        rows.append((f"chung_lu_p{p}", 1.0 + _rates(cl)[2], 2.0 + p / (2.0 - p)))
+        rows.append((f"chung_lu_p{p}", predicted_beta(cl), 2.0 + p / (2.0 - p)))
     three = CardinalityDistribution.constant(3)
     p = 0.5
     avin = HParams(0.0, p, [1.0 - p], three, [three], edges_per_event=1, gamma=0.0)
     degree_rate = p * 3 + (1 - p) * 3
-    rows.append(("avin_p0.5", 1.0 + _rates(avin)[2], 1.0 + degree_rate / (degree_rate - p)))
+    rows.append(("avin_p0.5", predicted_beta(avin), 1.0 + degree_rate / (degree_rate - p)))
     return ["case", "beta_predicted", "beta_expected"], rows
 
 

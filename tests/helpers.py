@@ -302,7 +302,6 @@ def reference_bound_inputs(h, communities):
         profile=CardinalityProfile({ell: sizes[ell] / ne for ell in sorted(sizes)},
                                    h.degree_sum / ne),
         max_cardinality=max(sizes),
-        num_communities=r,
     )
 
 

@@ -395,13 +395,13 @@ class TestBounds:
             r = rng.randint(1, 6)
             p = [rng.uniform(0, 1.0 / r) for _ in range(r)]
             s = [min(1.0, pi + rng.uniform(0, 0.3)) for pi in p]
-            inputs = BoundInputs(p, s, two_uniform_profile(), 2, r)
+            inputs = BoundInputs(p, s, two_uniform_profile(), 2)
             general = modularity_lower_bound_general(inputs)
             remark = sum(p) - 0.25 * sum((si + pi) ** 2 for pi, si in zip(p, s))
             assert general == pytest.approx(remark, abs=1e-12)
 
     def test_two_uniform_symmetric_tight_value(self):
-        inputs = BoundInputs([0.5, 0.5], [0.5, 0.5], two_uniform_profile(), 2, 2)
+        inputs = BoundInputs([0.5, 0.5], [0.5, 0.5], two_uniform_profile(), 2)
         assert modularity_lower_bound_general(inputs) == pytest.approx(0.5, abs=1e-12)
 
     def test_ab_two_uniform_remark(self):
@@ -437,7 +437,10 @@ class TestBounds:
             sizes[d] = remaining
             delta = sum(ell * a for ell, a in sizes.items())
             card = CardinalityProfile(sizes, delta)
-            inputs = bound_inputs_from_profile(profile, card)
+            # the random cardinality mixes come from no model, so the inputs
+            # are built here rather than by bound_inputs_from_profile
+            p_within = [profile.probability((i,)) for i in range(r)]
+            inputs = BoundInputs(p_within, community_marginals(profile), card, d)
             general = modularity_lower_bound_general(inputs)
             relaxed = modularity_lower_bound_ab(
                 inputs.alpha_noise, inputs.beta_max, card, inputs.max_cardinality, r
@@ -446,17 +449,34 @@ class TestBounds:
 
     def test_bound_inputs_from_profile(self):
         profile = InterCommunityProfile({(0,): 0.4, (1,): 0.35, (2,): 0.25}, 3)
-        inputs = bound_inputs_from_profile(profile, two_uniform_profile())
+        params = GParams(0.3, [0.4, 0.35, 0.25], profile, [CONST(2)] * 3)
+        inputs = bound_inputs_from_profile(params)
         assert inputs.alpha_noise == pytest.approx(0.0, abs=1e-12)
         assert inputs.p_within == pytest.approx([0.4, 0.35, 0.25])
         assert inputs.s_touch == pytest.approx([0.4, 0.35, 0.25])
+        assert inputs.profile == two_uniform_profile()
+        assert inputs.max_cardinality == 2
+        assert inputs.num_communities == 3
+
+    def test_bound_inputs_size_cap_is_the_largest_drawable_size(self):
+        profile = InterCommunityProfile({(0,): 0.5, (1,): 0.3, (0, 1): 0.2}, 2)
+        uniform = CardinalityDistribution.uniform_int(1, 5)
+        inputs = bound_inputs_from_profile(GParams(0.3, [0.5, 0.5], profile, [uniform, CONST(3)]))
+        # a pair of communities, each drawing at most 5 vertices
+        assert inputs.max_cardinality == 10
+        # a chunk has mean 3 under either law; singletons w.p. 0.8, pairs w.p. 0.2
+        assert inputs.profile.delta == pytest.approx(0.8 * 3 + 0.2 * 6, abs=1e-12)
+        poisson = CardinalityDistribution.shifted_poisson(1.0, 2)
+        params = GParams(0.3, [0.5, 0.5], profile, [poisson, CONST(3)])
+        assert bound_inputs_from_profile(params).max_cardinality is None
 
     def test_diagonal_profile_inputs(self):
         from hypermod.experiments import diagonal_profile
 
         alpha = 0.3
         profile = diagonal_profile(47, alpha)
-        inputs = bound_inputs_from_profile(profile, two_uniform_profile())
+        params = GParams(0.3, [1 / 47] * 47, profile, [CONST(2)] * 47)
+        inputs = bound_inputs_from_profile(params)
         assert inputs.p_within == pytest.approx([(1 - alpha) / 47] * 47)
         assert inputs.alpha_noise == pytest.approx(alpha, abs=1e-12)
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hypermod import Partition, brute_force_modularity
@@ -236,6 +241,28 @@ def test_unknown_subcommand_exit_code(capsys):
 
 def test_runtime_error_exit_code(tmp_path):
     assert run_cli(["fit-powerlaw", "--input", str(tmp_path / "missing.txt")]) == 1
+
+
+@pytest.mark.parametrize("args, code, prefix", [
+    (["generate-h", "--config", "ba.cfg", "--out", "h.txt"], 0, None),
+    (["predict", "--config", "bad.cfg"], 2, "config error: "),
+    (["fit-powerlaw", "--input", "missing.txt"], 1, "error: "),
+])
+def test_module_entry_point_exit_codes(tmp_path, args, code, prefix):
+    """``main()``, the function behind the ``hypermod`` console script, run
+    as ``python -m hypermod.cli``: its exit status is ``run_cli``'s code and
+    an error is one stderr line."""
+    write(tmp_path, BA_CONFIG, "ba.cfg")
+    write(tmp_path, "model: h\nbogus: 1\n", "bad.cfg")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "hypermod.cli", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if prefix is None:
+        assert proc.stderr == "" and proc.stdout.startswith("vertices: 101\n")
+    else:
+        assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_missing_partition_vertex_is_runtime_error(tmp_path):

@@ -22,3 +22,47 @@ def test_benchmark_smoke_run_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     ok = [line for line in proc.stdout.splitlines() if line.startswith("smoke ") and " ok " in line]
     assert len(ok) == 4, proc.stdout
+
+
+TRACED_CLI = """\
+import sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import tracing
+from hypermod.cli import run_cli
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+h_cfg, g_cfg = sys.argv[1:3]
+assert run_cli(["generate-h", "--config", h_cfg, "--steps", "70", "--out", "h.txt"]) == 0
+assert run_cli(["generate-g", "--config", g_cfg, "--steps", "90", "--out", "g.txt",
+                "--communities", "labels.tsv"]) == 0
+assert run_cli(["bounds", "--config", g_cfg]) == 0
+from_config = tracer.snapshot()["analysis.bound_inputs_s"]
+assert run_cli(["bounds", "--config", g_cfg, "--input", "g.txt",
+                "--communities", "labels.tsv"]) == 0
+values = tracer.snapshot()
+print(values["genh.steps"], values["geng.steps"], values["genh.generate_s"] > 0,
+      values["geng.generate_s"] > 0, from_config > 0,
+      values["analysis.bound_inputs_s"] > from_config)
+"""
+
+
+def test_tracer_cli_spans_are_reached(tmp_path):
+    """The tracer patches ``cli``'s module globals by name. A handler that
+    reached the library some other way would leave its spans at zero while
+    the smoke run's fingerprints and exact counts still agree, so each span
+    the CLI should cross is checked here, in a fresh interpreter that keeps
+    the patches out of the other tests."""
+    h_cfg = tmp_path / "h.cfg"
+    h_cfg.write_text("model: h\np_ve: 1.0\ny: constant(2)\nm: 2\n")
+    g_cfg = tmp_path / "g.cfg"
+    g_cfg.write_text("model: g\np: 0.4\nmembership: 0.5, 0.5\nx: constant(2); constant(3)\n"
+                     "0: 0.7\n1: 0.2\n0,1: 0.1\n")
+    script = TRACED_CLI.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(h_cfg), str(g_cfg)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # the last line, after the subcommands' own key-value output
+    assert proc.stdout.splitlines()[-1].split() == ["70", "90"] + ["True"] * 4, proc.stdout
