@@ -30,7 +30,8 @@ from operator import add
 
 from .genh import ParamError
 from .geng import community_marginals, expected_cardinality_size_pmf, reduce_community
-from .modularity import CardinalityProfile, block_counts, cardinality_profile, edge_batches
+from .modularity import (CardinalityProfile, block_counts, cardinality_profile, distinct_counts,
+                         edge_batches)
 
 MIN_TAIL_SAMPLES = 50
 # a Hurwitz zeta call costs about as much as this many math.pow terms
@@ -473,7 +474,7 @@ def empirical_bound_inputs(h, communities):
         # distinct (edge, community) keys
         keys = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64) * r, np.diff(offsets))
         keys += community[members]
-        touch += np.bincount(np.unique(keys) % r, minlength=r)
+        touch += np.bincount(distinct_counts(keys)[0] % r, minlength=r)
     return BoundInputs(
         p_within=[w / ne for w in within.tolist()],
         s_touch=[t / ne for t in touch.tolist()],

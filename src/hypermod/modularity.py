@@ -178,7 +178,7 @@ def cardinality_profile(h):
     ne = h.num_edges
     if ne == 0:
         raise ValueError("cardinality profile needs at least one hyperedge")
-    sizes, counts = np.unique(np.diff(h.arrays()[1]), return_counts=True)
+    sizes, counts = distinct_counts(np.diff(h.arrays()[1]))
     a = {ell: count / ne for ell, count in zip(sizes.tolist(), counts.tolist())}
     return CardinalityProfile(a, h.degree_sum / ne)
 
@@ -329,6 +329,18 @@ def _run_starts(keys):
     return np.flatnonzero(change)
 
 
+def distinct_counts(keys):
+    """The distinct ``keys`` in increasing order, and how many times each
+    occurs (int64). Sorts the array ``keys`` in place, so callers pass a
+    temporary of their own. ``np.unique`` is not used: on numpy >= 2.3 its
+    plain call imports ``numpy.ma`` and builds a hash table, which costs
+    several times this sort."""
+    import numpy as np
+    keys.sort()
+    first = _run_starts(keys)
+    return keys[first], np.diff(first, append=len(keys))
+
+
 def sum_by_key(keys, counts):
     """The distinct ``keys`` in increasing order, and the sum of
     ``counts`` over each one's occurrences (int64 arrays)."""
@@ -345,11 +357,12 @@ def _pair_counts(members, offsets, n, triu):
     many edges hold each pair; ``triu`` caches ``np.triu_indices(s, 1)`` by s."""
     import numpy as np
     ne = len(offsets) - 1
-    distinct = np.unique(np.repeat(np.arange(ne, dtype=np.int64) * n, np.diff(offsets)) + members)
-    edge, member = np.divmod(distinct, n)
+    keys = np.repeat(np.arange(ne, dtype=np.int64) * n, np.diff(offsets))
+    keys += members
+    edge, member = np.divmod(distinct_counts(keys)[0], n)
     count = np.bincount(edge, minlength=ne)
     start = np.cumsum(count) - count
-    sizes, groups = np.unique(count[count > 1], return_counts=True)
+    sizes, groups = distinct_counts(count[count > 1])
     keys = np.empty(int(groups @ (sizes * (sizes - 1) // 2)), dtype=np.int64)
     at = 0
     for s, edges in zip(sizes.tolist(), groups.tolist()):
@@ -362,9 +375,7 @@ def _pair_counts(members, offsets, n, triu):
         pairs *= n
         pairs += clique[:, ju]
         at += pairs.size
-    keys.sort()
-    first = _run_starts(keys)
-    return keys[first], np.diff(first, append=len(keys))
+    return distinct_counts(keys)
 
 
 def flatten(h):

@@ -15,6 +15,8 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate
 
+from . import hypergraph
+
 PMF_TAIL_MASS = 1e-12  # the tail mass that ``pmf_items`` drops from a Poisson law
 
 
@@ -188,13 +190,17 @@ class PreferentialSelector:
     under the same law as the general model, which passes
     ``(Hypergraph.members, range(num_vertices))``. Selection never mutates
     the urn, so all draws of one time step see the same state.
+
+    The occurrence array follows the store's width rule: it starts in
+    ``hypergraph._NARROW`` (int32) and widens once, to int64, when a new
+    member's id does not fit.
     """
 
     def __init__(self, gamma):
         if gamma < 0:
             raise ValueError("gamma must be non-negative")
         self.gamma = gamma
-        self.occurrences = array("q")
+        self.occurrences = array(hypergraph._NARROW)
         self.members = []
 
     @property
@@ -206,6 +212,8 @@ class PreferentialSelector:
         return len(self.occurrences)
 
     def add_member(self, v):
+        if not hypergraph._fits(self.occurrences, v):
+            self.occurrences = array("q", self.occurrences)
         self.members.append(v)
 
     def record_degree_increment(self, vertices):

@@ -6,7 +6,8 @@ alternating parent/change pairs, and the last stdout line of
 ``perfbench/run.py`` (one JSON object, whose metrics are exactly the
 end-to-end ones of ``BENCHMARK.json``, with their units) for every run on
 each side; at the top it keeps the run length and the machine: ``nproc``
-and the Python and numpy versions.
+and the Python and numpy versions. Every recorded run is correct and has
+no failed operation, so that its metrics time working code.
 """
 
 import json
@@ -37,5 +38,6 @@ def test_bench_file_has_every_workload_and_run(path):
             assert len(runs[side]) == runs["pairs"]
             for result in runs[side]:
                 assert {"correct", "attempted", "failed", "metrics"} <= result.keys()
+                assert result["correct"] is True and result["failed"] == 0
                 units = {name: m["unit"] for name, m in result["metrics"].items()}
                 assert units == END_TO_END

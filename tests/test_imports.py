@@ -9,9 +9,11 @@ config, ``bounds --config`` and the ``recurrence_check``,
 histogram's tail load neither numpy nor scipy: the fit's Hurwitz zeta,
 root solver and sums are in the package. Parsing a hyperedge file (and so
 ``fit-powerlaw``), flatten, Louvain, scoring and the measured bound inputs
-compute on numpy arrays and load numpy, but no scipy module. Only the
-amplitude of ``predict`` on an ``h`` config loads ``scipy.special`` (for
-log-gamma), and nothing loads ``scipy.optimize``.
+compute on numpy arrays and load numpy, but no scipy module and not
+``numpy.ma``: their distinct keys come from a sort, since a plain
+``np.unique`` imports ``numpy.ma`` on numpy >= 2.3. Only the amplitude of
+``predict`` on an ``h`` config loads ``scipy.special`` (for log-gamma),
+and nothing loads ``scipy.optimize``.
 pytest itself loads numpy and scipy, so each case runs in a fresh
 interpreter.
 """
@@ -118,8 +120,8 @@ NO_NUMPY = {"import", "generate-h", "generate-g", "oracle", "predict_g", "bounds
 
 
 def loaded_modules(case, tmp_path):
-    """Names of the scipy modules, and ``numpy`` if it is loaded, after
-    running ``case`` in a fresh interpreter."""
+    """Names of the scipy modules, and ``numpy`` and ``numpy.ma`` if they
+    are loaded, after running ``case`` in a fresh interpreter."""
     (tmp_path / "g.cfg").write_text(G_CONFIG)
     (tmp_path / "small.txt").write_text("0 1 2\n1 2\n2 3 4\n3 4\n")
     (tmp_path / "h.cfg").write_text(H_CONFIG)
@@ -128,7 +130,7 @@ def loaded_modules(case, tmp_path):
     (tmp_path / "regressions.cfg").write_text(REGRESSIONS)
     code = PRELUDE + CASES[case] + (
         "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m.split('.')[0] == 'scipy' or m == 'numpy')))\n"
+        "                        if m.split('.')[0] == 'scipy' or m in ('numpy', 'numpy.ma'))))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path)],

@@ -2,6 +2,8 @@
 
 ``flatten``, Louvain, the strict score, the weighted score and the bound
 inputs run on numpy arrays; ``helpers`` keeps the dict and loop versions.
+Their distinct keys and counts come from ``modularity.distinct_counts``,
+a sort, whose reference is ``np.unique(x, return_counts=True)``.
 Every value must agree bit for bit, not only approximately: the output
 bytes of ``detect``, ``flatten``, ``modularity`` and the experiments
 depend on it. The other way round, ``Hypergraph.degrees`` counts in a plain
@@ -43,7 +45,7 @@ from hypermod.analysis import _mle_beta, _pairwise_sum
 from hypermod.experiments import uniform_block_params
 from hypermod.geng import generate_g
 from hypermod.genh import generate_h
-from hypermod.modularity import _strict_score, block_counts
+from hypermod.modularity import _strict_score, block_counts, distinct_counts
 
 from helpers import (
     adjacency_weights,
@@ -106,6 +108,18 @@ def test_degrees_equal_bincount(h):
     # the dict's insertion order too, not only its items
     assert list(hist.counts.items()) == list(Counter(expected).items())
     assert hist.total_vertices == h.num_vertices
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("length, high", [(0, 1), (1, 5), (7, 1), (1000, 1), (1000, 10),
+                                          (1000, 1 << 20), (40_000, 300)])
+def test_distinct_counts_equal_unique(dtype, length, high):
+    keys = np.random.default_rng(length + high).integers(-high, high, length, dtype=dtype)
+    expected = np.unique(keys, return_counts=True)
+    distinct, counts = distinct_counts(keys.copy())
+    assert distinct.dtype == dtype and counts.dtype == np.int64
+    assert distinct.tolist() == expected[0].tolist()
+    assert counts.tolist() == expected[1].tolist()
 
 
 @given(hypergraphs(), st.booleans())

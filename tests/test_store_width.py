@@ -1,5 +1,6 @@
 """The store's width rule: ``Hypergraph.members`` and ``offsets`` start
 narrow and each widens once, to int64, when a value first does not fit.
+The occurrence array of each of ``g``'s community urns follows the same rule.
 
 The narrow type code is patched to int8 (``"b"``), so that widening happens
 at 128 vertices or memberships, and every result must equal the one of a
@@ -28,6 +29,7 @@ from hypermod import (
     flatten,
     generate_g,
     generate_h,
+    geng,
     graph_modularity_score,
     hypergraph,
     hypergraph_modularity_score,
@@ -135,18 +137,41 @@ def test_errors_leave_the_store_as_it_was(int8, shape):
 
 
 def test_generators_match_an_int64_store(monkeypatch):
+    """Over 128 vertices, so the store and every community urn of ``g``
+    widen along the run."""
     h_params = HParams(0.2, 0.5, [0.3], CONST(3), [CONST(2)], edges_per_event=2,
                        gamma=1.0, steps=400)
     profile = InterCommunityProfile({(0,): 0.6, (1,): 0.3, (0, 1): 0.1}, 2)
     g_params = GParams(0.4, [0.5, 0.5], profile, [CONST(3), CONST(2)], gamma=1.0, steps=400)
+    urns = []
+
+    class Recorded(geng.PreferentialSelector):
+        def __init__(self, gamma):
+            super().__init__(gamma)
+            urns.append(self)
+
+    monkeypatch.setattr(geng, "PreferentialSelector", Recorded)
     runs = {}
     for code in ("b", "q"):
         monkeypatch.setattr(hypergraph, "_NARROW", code)
+        urns.clear()
         h, h_stats = generate_h(h_params, 3)
         g, planted, g_stats = generate_g(g_params, 3)
         assert state(h)[:2] == state(g)[:2] == ("q", "q")
-        runs[code] = (state(h)[2:], h_stats, state(g)[2:], planted, g_stats)
+        assert [urn.occurrences.typecode for urn in urns] == ["q", "q"]
+        runs[code] = (state(h)[2:], h_stats, state(g)[2:], planted, g_stats,
+                      [list(urn.occurrences) for urn in urns])
     assert runs["b"] == runs["q"]
+
+
+def test_a_new_urn_takes_the_narrow_code(int8):
+    urn = geng.PreferentialSelector(0.0)
+    urn.add_member(127)
+    urn.record_degree_increment([127])
+    assert urn.occurrences.typecode == "b"
+    urn.add_member(128)
+    urn.record_degree_increment([128, 127])
+    assert (urn.occurrences.typecode, list(urn.occurrences)) == ("q", [127, 128, 127])
 
 
 @pytest.mark.parametrize("chunk", [16, 1 << 13])
