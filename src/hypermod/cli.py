@@ -41,18 +41,15 @@ def _cmd_generate(args):
     if args.model == "h":
         h, stats = generate_h(params, args.seed)
         header.append("weight_sum")
-        rows = stats.records
     else:
         h, planted, stats = generate_g(params, args.seed)
         r = params.num_communities
         header += [f"size_{j}" for j in range(r)] + [f"deg_{j}" for j in range(r)]
-        rows = [(t, v, e, d, *sizes, *degs) for (t, v, e, d, _), (_, sizes, degs)
-                in zip(stats.records, stats.community_records)]
     files.write_hypergraph(h, args.out)
     if args.communities:
         files.write_labels(planted.block_of, args.communities)
     if args.stats:
-        files.write_csv(args.stats, header, rows)
+        files.write_csv(args.stats, header, stats.records)
     _print_kv([
         ("vertices", h.num_vertices),
         ("edges", h.num_edges),

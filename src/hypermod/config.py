@@ -297,8 +297,7 @@ def parse_experiment_config(path):
         raise ConfigError(f"unknown experiment kind {kind!r}, "
                           f"expected one of {tuple(_EXPERIMENT_KEYS)}")
     replicas = _take(entries, "replicas", int, default=1)
-    if replicas < 1:
-        raise ConfigError("replicas must be >= 1")
+    _check(replicas >= 1, "replicas", ">= 1", replicas)
     own_keys, h_keys = _EXPERIMENT_KEYS[kind]
     options = {key: _take(entries, key, convert, default)
                for key, (convert, default) in own_keys.items()}

@@ -10,12 +10,12 @@ Each community therefore evolves like the general single-population
 process, which is what the per-community reduction below exposes.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .hypergraph import Hypergraph
 from .modularity import Partition
-from .sampling import CardinalityDistribution, PreferentialSelector, cumulative, make_rng
+from .sampling import (CardinalityDistribution, Categorical, PreferentialSelector, make_rng,
+                       uniform_index)
 from .genh import HParams, ParamError, RunStats, checkpoint_times
 
 _SUM_TOL = 1e-6
@@ -53,16 +53,13 @@ class InterCommunityProfile:
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"profile probabilities sum to {total}, expected 1 within {_SUM_TOL}")
         self.entries = {k: v / total for k, v in sorted(cleaned.items())}
-        self._keys = list(self.entries)
-        self._cum = cumulative(self.entries.values())
+        self._law = Categorical(self.entries.keys(), self.entries.values())
 
     def probability(self, subset):
         return self.entries.get(tuple(sorted(set(subset))), 0.0)
 
     def sample(self, rng):
-        if len(self._keys) == 1:
-            return self._keys[0]
-        return self._keys[bisect_right(self._cum, rng.random())]
+        return self._law.sample(rng)
 
     def items(self):
         return self.entries.items()
@@ -128,20 +125,18 @@ class GParams:
         return len(self.membership)
 
 
-def g_step(g, params, selectors, rng, _cum=None):
-    """Apply one step; returns ("vertex", j) or ("hyperedge", subset)."""
-    if _cum is None:
-        _cum = cumulative(params.membership)
-    r = params.num_communities
+def g_step(g, params, selectors, membership, rng):
+    """Apply one step; returns ("vertex", j) or ("hyperedge", subset).
+    ``membership`` is the ``Categorical`` law of a new vertex's community."""
     if rng.random() < params.p_vertex:
-        j = 0 if r == 1 else bisect_right(_cum, rng.random())
+        j = membership.sample(rng)
         selectors[j].add_member(g.add_vertex())
         return ("vertex", j)
     subset = params.profile.sample(rng)
+    r = params.num_communities
     chunks = []
     for c in subset:
-        slot = 0 if r == 1 else int(rng.random() * r)
-        count = params.edge_sizes[slot].sample(rng)
+        count = params.edge_sizes[uniform_index(r, rng)].sample(rng)
         chunks.append(selectors[c].select_vertices(count, rng))
     g.add_hyperedge([v for chunk in chunks for v in chunk])
     # each chunk was drawn from its own community's urn
@@ -168,15 +163,20 @@ def generate_g(params, seed):
         selectors[j].add_member(v)
         selectors[j].record_degree_increment([v])
     stats = RunStats()
-    stats.record(0, g, params.gamma, selectors)
-    cum = cumulative(params.membership)
+
+    def record(t):
+        stats.record(t, g, *[len(s.members) for s in selectors],
+                     *[len(s.occurrences) for s in selectors])
+
+    record(0)
+    membership = Categorical(range(r), params.membership)
     marks = checkpoint_times(params.steps)
     counts = stats.event_counts
     for t in range(1, params.steps + 1):
-        tag = g_step(g, params, selectors, rng, _cum=cum)[0]
+        tag = g_step(g, params, selectors, membership, rng)[0]
         counts[tag] = counts.get(tag, 0) + 1
         if t in marks:
-            stats.record(t, g, params.gamma, selectors)
+            record(t)
     # each vertex is a member of exactly one community's urn
     community = [0] * g.num_vertices
     for j, sel in enumerate(selectors):

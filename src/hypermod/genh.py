@@ -82,24 +82,18 @@ class HParams:
 class RunStats:
     """Checkpointed trajectory of a run of either generator.
 
-    ``records`` holds (t, vertices, edges, degree_sum, weight_sum) tuples,
-    weight_sum being the selection law's normalizer ``D + gamma * n``;
-    ``event_counts`` counts the step tags; ``community_records`` holds
-    (t, member counts, degree totals) of the community urns and is filled
-    only when ``record`` is given them.
+    ``records`` holds one row per checkpoint, (t, vertices, edges,
+    degree_sum, *columns), the row of the model's ``--stats`` CSV: ``h``
+    adds weight_sum, the selection law's normalizer ``D + gamma * n``, and
+    ``g`` each community's member count, then each one's degree total.
+    ``event_counts`` counts the step tags.
     """
 
     records: list = field(default_factory=list)
     event_counts: dict = field(default_factory=dict)
-    community_records: list = field(default_factory=list)
 
-    def record(self, t, h, gamma, selectors=None):
-        w = h.degree_sum + gamma * h.num_vertices
-        self.records.append((t, h.num_vertices, h.num_edges, h.degree_sum, w))
-        if selectors is not None:
-            self.community_records.append(
-                (t, [s.num_members for s in selectors], [s.degree_total for s in selectors])
-            )
+    def record(self, t, h, *columns):
+        self.records.append((t, h.num_vertices, h.num_edges, h.degree_sum, *columns))
 
 
 def initial_hypergraph():
@@ -176,12 +170,16 @@ def generate_h(params, seed):
     rng = make_rng(seed)
     h = initial_hypergraph()
     stats = RunStats()
-    stats.record(0, h, params.gamma)
+
+    def record(t):
+        stats.record(t, h, h.degree_sum + params.gamma * h.num_vertices)
+
+    record(0)
     marks = checkpoint_times(params.steps)
     counts = stats.event_counts
     for t in range(1, params.steps + 1):
         tag = h_step(h, params, t, rng)
         counts[tag] = counts.get(tag, 0) + 1
         if t in marks:
-            stats.record(t, h, params.gamma)
+            record(t)
     return h, stats

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 _NARROW = "i"
 
 
-def _fits(a, value):
-    """Whether the non-negative ``value`` fits the signed type of array ``a``."""
-    return value < 1 << (8 * a.itemsize - 1)
+def widened(a, value):
+    """``a``, or an int64 copy of it when the non-negative ``value`` does not
+    fit its signed type."""
+    return a if value < 1 << (8 * a.itemsize - 1) else array("q", a)
 
 
 @dataclass
@@ -121,10 +122,8 @@ class Hypergraph:
     def widen(self, added=0):
         """Widen ``members`` to int64 if an id below ``num_vertices`` does not
         fit it, and ``offsets`` if ``added`` more memberships would not."""
-        if not _fits(self.members, self.num_vertices - 1):
-            self.members = array("q", self.members)
-        if not _fits(self.offsets, len(self.members) + added):
-            self.offsets = array("q", self.offsets)
+        self.members = widened(self.members, self.num_vertices - 1)
+        self.offsets = widened(self.offsets, len(self.members) + added)
 
     def degree_histogram(self):
         counts = Counter(self.degrees)

@@ -22,8 +22,9 @@ MAX_LEVELS = 32  # cap on aggregation levels; detection stops sooner once a leve
 
 
 def _one_level(indptr, indices, data, k, total, order, block):
-    """Greedy local moving over CSR rows given as lists, from ``block``
-    (every vertex alone), which it updates in place and returns."""
+    """Greedy local moving over the level's CSR rows, read in place through
+    memoryviews, from ``block`` (every vertex alone), which it updates in
+    place and returns."""
     vol = list(k)
     two_m2 = 2.0 * total * total
     while True:
@@ -103,14 +104,11 @@ def detect_communities(graph, seed=0):
         block = list(range(size))
         order = list(block)
         rng.shuffle(order)
-        indptr = level_graph.indptr.tolist()
+        indptr = memoryview(level_graph.indptr)
         # a vertex without edges never moves, so it is not visited
         order = [v for v in order if indptr[v] != indptr[v + 1]]
-        # the neighbour list shares block's int objects rather than holding a
-        # new int per entry
-        indices = list(map(block.__getitem__, memoryview(level_graph.indices)))
-        _one_level(indptr, indices, level_graph.data.tolist(), k.tolist(), total, order, block)
-        del indptr, indices, order
+        _one_level(indptr, memoryview(level_graph.indices), memoryview(level_graph.data),
+                   k.tolist(), total, order, block)
         block = np.array(block)
         block, num_blocks = first_appearance_labels(block)
         labels = block[labels]

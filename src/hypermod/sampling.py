@@ -5,8 +5,10 @@ All generation runs draw from a single Mersenne Twister stream
 seed. The draw order within a time step is fixed: event type first, then
 hyperedge sizes, then vertex selections. Draws whose outcome is forced
 (constant distributions, single-entry categoricals, a single community)
-consume no randomness, so structurally equivalent parameterizations of
-different models produce identical streams.
+consume no randomness (``Categorical`` and ``uniform_index`` hold that
+rule; preferential selection draws even when its outcome is forced), so
+structurally equivalent parameterizations of different models produce
+identical streams.
 """
 
 import math
@@ -25,15 +27,29 @@ def make_rng(seed):
     return random.Random(seed)
 
 
-def cumulative(probs):
-    """Running sums of non-empty ``probs`` with the last pinned to 1.0.
+class Categorical:
+    """A finite law: one of ``values``, drawn with the matching ``probs``.
 
-    ``bisect_right(cumulative(probs), u)`` maps a uniform u in [0, 1) to
-    an index drawn with the given probabilities.
+    A uniform u picks the first value whose running sum exceeds u; the last
+    sum is pinned to 1.0, and a single value is returned without a draw.
+    ``probs`` must already be normalized: summing them again, in another
+    order, could move a running sum by an ulp and so change the draws.
     """
-    cum = list(accumulate(probs))
-    cum[-1] = 1.0
-    return cum
+
+    def __init__(self, values, probs):
+        self.values = list(values)
+        self.cum = list(accumulate(probs))
+        self.cum[-1] = 1.0
+
+    def sample(self, rng):
+        if len(self.values) == 1:
+            return self.values[0]
+        return self.values[bisect_right(self.cum, rng.random())]
+
+
+def uniform_index(n, rng):
+    """A uniform index of ``range(n)``, ``int(u * n)``; no draw when n == 1."""
+    return 0 if n == 1 else int(rng.random() * n)
 
 
 class CardinalityDistribution:
@@ -67,7 +83,7 @@ class CardinalityDistribution:
                 raise ValueError(f"categorical probabilities sum to {total}, expected 1")
             probs = [p / total for p in probs]
             self.params = {"values": list(values), "probs": probs}
-            self._cum = cumulative(probs)
+            self._law = Categorical(values, probs)
         elif kind == "shifted_poisson":
             lam, shift = params["lam"], params["shift"]
             if lam < 0 or shift < 1:
@@ -133,15 +149,9 @@ class CardinalityDistribution:
         if self.kind == "constant":
             return p["value"]
         if self.kind == "uniform_int":
-            lo, hi = p["lo"], p["hi"]
-            if lo == hi:
-                return lo
-            return lo + int(rng.random() * (hi - lo + 1))
+            return p["lo"] + uniform_index(p["hi"] - p["lo"] + 1, rng)
         if self.kind == "categorical":
-            values = p["values"]
-            if len(values) == 1:
-                return values[0]
-            return values[bisect_right(self._cum, rng.random())]
+            return self._law.sample(rng)
         # shifted_poisson, Knuth's product-of-uniforms; lam is small here
         lam, shift = p["lam"], p["shift"]
         if lam == 0:
@@ -203,17 +213,8 @@ class PreferentialSelector:
         self.occurrences = array(hypergraph._NARROW)
         self.members = []
 
-    @property
-    def num_members(self):
-        return len(self.members)
-
-    @property
-    def degree_total(self):
-        return len(self.occurrences)
-
     def add_member(self, v):
-        if not hypergraph._fits(self.occurrences, v):
-            self.occurrences = array("q", self.occurrences)
+        self.occurrences = hypergraph.widened(self.occurrences, v)
         self.members.append(v)
 
     def record_degree_increment(self, vertices):

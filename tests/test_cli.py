@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hypermod import Partition, brute_force_modularity
+from hypermod import Partition, brute_force_modularity, genh, geng, make_rng
 from hypermod.cli import run_cli
 from hypermod.files import parse_hypergraph, parse_labels, write_hypergraph, write_partition
 from hypermod.hypergraph import Hypergraph
@@ -81,6 +81,41 @@ def test_generate_g_writes_labels(tmp_path):
     g = parse_hypergraph(out)
     labels = parse_labels(comm, g.num_vertices)
     assert set(labels) == {0, 1}
+
+
+# four ways to write a size law whose one possible value is k
+FORCED_LAWS = ["constant({k})", "uniform_int({k},{k})", "categorical({k}:1.0)",
+               "shifted_poisson(0,{k})"]
+
+
+@pytest.mark.parametrize("model, template", [
+    ("h", "model: h\np_v: 0.1\np_ve: 0.5\np_e: 0.4\ny: {y}\nx: {x}\nm: 2\ngamma: 0.5\n"),
+    ("g", "model: g\np: 0.3\nmembership: 0.6, 0.4\nx: {x}; {x}\ngamma: 1.0\n"
+          "0: 0.5\n1: 0.3\n0,1: 0.2\n"),
+], ids=["h", "g"])
+def test_forced_size_draws_consume_no_uniform(tmp_path, capsys, monkeypatch, model, template):
+    """A size law with one possible value draws nothing, however it is
+    written: each form writes the same files and leaves the stream where
+    ``constant`` does."""
+    rngs = []
+
+    def recording_rng(seed):
+        rngs.append(make_rng(seed))
+        return rngs[-1]
+
+    monkeypatch.setattr(genh if model == "h" else geng, "make_rng", recording_rng)
+    names = ["out.txt", "stats.csv"] + ["labels.tsv"] * (model == "g")
+    runs = []
+    for law in FORCED_LAWS:
+        cfg = write(tmp_path, template.format(y=law.format(k=3), x=law.format(k=2)), "forced.cfg")
+        argv = [f"generate-{model}", "--config", cfg, "--seed", "5", "--steps", "3000",
+                "--out", str(tmp_path / names[0]), "--stats", str(tmp_path / names[1])]
+        if model == "g":
+            argv += ["--communities", str(tmp_path / names[2])]
+        assert run_cli(argv) == 0
+        runs.append(([(tmp_path / name).read_bytes() for name in names],
+                     capsys.readouterr().out, rngs[-1].getstate()))
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def test_modularity_subcommand_matches_library(tmp_path, capsys):
@@ -321,6 +356,14 @@ def test_bounds_label_beyond_the_config_communities_is_one_line(tmp_path, capsys
         "", f"error: {labels}: vertex 1 has block 5, but {cfg} has 2 communities\n")
 
 
+def test_bounds_negative_label_names_the_line(tmp_path, capsys):
+    cfg = write(tmp_path, G_CONFIG, "g.txt")
+    hpath = write(tmp_path, "0 1\n1 2\n", "h.txt")
+    labels = write(tmp_path, "0\t0\n1\t-1\n2\t1\n", "labels.tsv")
+    assert run_cli(["bounds", "--config", cfg, "--input", hpath, "--communities", labels]) == 1
+    assert capsys.readouterr() == ("", f"error: {labels}:2: negative block -1\n")
+
+
 def test_experiment_fig1_csv_columns(tmp_path):
     cfg = write(
         tmp_path,
@@ -343,6 +386,7 @@ def test_experiment_fig1_csv_columns(tmp_path):
     ("kind: recurrence_check\nk_max: 0\n", "k_max"),
     ("kind: beta_sweep\n", "p_ve"),
     ("kind: recurrence_check\np_v: 0\np_ve: 0\np_e: 1\n", "p_ve"),
+    ("kind: recurrence_check\nreplicas: 0\n", "replicas"),
 ])
 def test_experiment_option_error_exit_code(tmp_path, capsys, text, key):
     cfg = write(tmp_path, text, "exp.cfg")
@@ -367,6 +411,7 @@ def test_experiment_option_error_exit_code(tmp_path, capsys, text, key):
     ("model: g\np: 0.5\nmembership: 0.5,0.5\nx: constant(2); constant(2)\n0: nan\n1: 0.5\n", "0"),
     ("model: h\np_ve: 1\ny: shifted_poisson(nan,2)\n", "y"),
     ("model: h\np_ve: 0.5\np_e: 0.5\ny: constant(2)\nx: categorical(2:nan,3:0.5)\n", "x"),
+    ("model: h\np_ve: 1\ny: constant(2)\ncardinality_cap: maybe\n", "cardinality_cap"),
 ])
 def test_model_config_error_names_key(tmp_path, capsys, text, key):
     cfg = write(tmp_path, text, "model.cfg")
@@ -415,6 +460,15 @@ def test_negative_kmax_rejected_at_argument_parsing(tmp_path, capsys):
     out = tmp_path / "oracle.csv"
     assert run_cli(["oracle", "--config", cfg, "--kmax", "-1", "--out", str(out)]) == 2
     assert "argument --kmax: kmax must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_integer_kmax_rejected_at_argument_parsing(tmp_path, capsys):
+    cfg = write(tmp_path, BA_CONFIG, "ba.cfg")
+    out = tmp_path / "oracle.csv"
+    assert run_cli(["oracle", "--config", cfg, "--kmax", "x", "--out", str(out)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == ["hypermod oracle: error: argument --kmax: expected an integer, got 'x'"]
     assert not out.exists()
 
 

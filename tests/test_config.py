@@ -59,6 +59,12 @@ def test_parse_h_config(tmp_path):
     assert params.steps == 500
 
 
+@pytest.mark.parametrize("text, cap", [("on", True), ("off", False)])
+def test_cardinality_cap_switch(tmp_path, text, cap):
+    params = parse_model_config(write(tmp_path, H_CONFIG + f"cardinality_cap: {text}\n"))
+    assert params.cap_sizes is cap
+
+
 def test_parse_g_config(tmp_path):
     params = parse_model_config(write(tmp_path, G_CONFIG))
     assert isinstance(params, GParams)

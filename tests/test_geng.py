@@ -1,6 +1,7 @@
 import math
 from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from scipy.stats import chi2
@@ -20,7 +21,7 @@ from hypermod import geng
 from hypermod.genh import checkpoint_times
 from hypermod.geng import expected_cardinality_size_pmf
 from hypermod.hypergraph import Hypergraph
-from hypermod.sampling import PreferentialSelector, cumulative, make_rng
+from hypermod.sampling import PreferentialSelector, make_rng
 
 from helpers import recomputed_degrees, reference_select
 
@@ -160,7 +161,9 @@ def _reference_g_step(g, community, params, urns, rng):
     ``community``."""
     r = params.num_communities
     if rng.random() < params.p_vertex:
-        j = 0 if r == 1 else bisect_right(cumulative(params.membership), rng.random())
+        cum = list(accumulate(params.membership))
+        cum[-1] = 1.0
+        j = 0 if r == 1 else bisect_right(cum, rng.random())
         urns[j][1].append(g.add_vertex())
         community.append(j)
         return ("vertex", j)
@@ -188,12 +191,11 @@ def _reference_generate_g(params, seed):
         v = g.add_vertex()
         g.add_hyperedge([v])
         urns.append(([v], [v]))
-    records, community_records, event_counts = [], [], {}
+    records, event_counts = [], {}
 
     def record(t):
-        w = g.degree_sum + params.gamma * g.num_vertices
-        records.append((t, g.num_vertices, g.num_edges, g.degree_sum, w))
-        community_records.append((t, [len(p) for _, p in urns], [len(o) for o, _ in urns]))
+        records.append((t, g.num_vertices, g.num_edges, g.degree_sum,
+                        *[len(p) for _, p in urns], *[len(o) for o, _ in urns]))
 
     record(0)
     marks = checkpoint_times(params.steps)
@@ -202,7 +204,7 @@ def _reference_generate_g(params, seed):
         event_counts[kind] = event_counts.get(kind, 0) + 1
         if t in marks:
             record(t)
-    return g, community, (records, community_records, event_counts), rng
+    return g, community, (records, event_counts), rng
 
 
 THREE = InterCommunityProfile(
@@ -237,13 +239,10 @@ def test_generate_g_matches_reference(monkeypatch, params):
     monkeypatch.setattr(geng, "make_rng", recording_rng)
     monkeypatch.setattr(geng, "PreferentialSelector", RecordingSelector)
     g, planted, stats = generate_g(params, seed=21)
-    ref, ref_community, (records, community_records, event_counts), ref_rng = (
-        _reference_generate_g(params, 21)
-    )
+    ref, ref_community, (records, event_counts), ref_rng = _reference_generate_g(params, 21)
     assert g.edges == ref.edges
     assert planted.block_of == ref_community
     assert stats.records == records
-    assert stats.community_records == community_records
     assert stats.event_counts == event_counts
     assert rngs[0].getstate() == ref_rng.getstate()
     # every urn holds exactly its community's memberships, in order

@@ -257,13 +257,13 @@ def _reference_generate_h(params, seed):
     h = initial_hypergraph()
     occ, pool = [0], [0]
     stats = RunStats()
-    stats.record(0, h, params.gamma)
+    stats.record(0, h, h.degree_sum + params.gamma * h.num_vertices)
     marks = checkpoint_times(params.steps)
     for t in range(1, params.steps + 1):
         tag = _reference_h_step(h, params, occ, pool, t, rng)
         stats.event_counts[tag] = stats.event_counts.get(tag, 0) + 1
         if t in marks:
-            stats.record(t, h, params.gamma)
+            stats.record(t, h, h.degree_sum + params.gamma * h.num_vertices)
     assert list(h.members) == occ
     return h, stats, rng
 

@@ -7,6 +7,7 @@ from hypermod import (
     Partition,
     brute_force_modularity,
     cardinality_profile,
+    empirical_bound_inputs,
     flatten,
     graph_modularity_score,
     hypergraph_modularity_score,
@@ -246,3 +247,15 @@ def test_partition_helpers():
     assert Partition([0, 0, 1]) == Partition([1, 1, 0])
     with pytest.raises(ValueError):
         Partition([0, 3], num_blocks=2)
+
+
+@pytest.mark.parametrize("score", [
+    hypergraph_modularity_score,
+    lambda h, part: weighted_graph_modularity(flatten(h), part),
+    empirical_bound_inputs,
+], ids=["hypergraph", "weighted_graph", "bound_inputs"])
+@pytest.mark.parametrize("labels", [[0, 0, 1], [0, 0, 1, 1, 0]], ids=["short", "long"])
+def test_partition_of_the_wrong_size_is_rejected(score, labels):
+    h = build(4, [[0, 1, 2], [2, 3]])
+    with pytest.raises(ValueError, match="partition size does not match the vertex count"):
+        score(h, Partition(labels))

@@ -4,12 +4,17 @@
 name (``PreferentialSelector.select_vertices``/``record_degree_increment``,
 ``genh.h_step``, ``geng.g_step``, ...); a rename or signature change breaks
 it without breaking any unit test. ``--smoke`` runs every workload at toy
-size, traced and untraced, and checks the results.
+size, traced and untraced, and checks the results. ``pins.json`` applies
+only at bench size, so each workload also runs there once, for a pinned
+seed.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,6 +27,20 @@ def test_benchmark_smoke_run_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     ok = [line for line in proc.stdout.splitlines() if line.startswith("smoke ") and " ok " in line]
     assert len(ok) == 4, proc.stdout
+
+
+@pytest.mark.parametrize("workload", ["h_ba", "h_sweep", "g_2u", "g_20u"])
+def test_bench_size_run_matches_pins(workload):
+    """Seed 0 is pinned: the untraced run must write ``pins.json``'s
+    fingerprints, and the traced run the same ones and its exact counts."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, proc.stdout
 
 
 TRACED_CLI = """\

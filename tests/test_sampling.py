@@ -6,6 +6,7 @@ import pytest
 
 from hypermod import CardinalityDistribution, PreferentialSelector, make_rng
 from hypermod.genh import HParams, generate_h
+from hypermod.sampling import Categorical, uniform_index
 
 from helpers import marginals
 
@@ -62,6 +63,32 @@ class TestCardinalityDistribution:
         ):
             assert sum(p for _, p in dist.pmf_items()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_forced_draws_leave_the_stream_untouched(self):
+        rng = make_rng(11)
+        state = rng.getstate()
+        assert Categorical([(0, 2)], [1.0]).sample(rng) == (0, 2)
+        assert uniform_index(1, rng) == 0
+        for dist in (CardinalityDistribution.uniform_int(4, 4),
+                     CardinalityDistribution.categorical([4], [1.0]),
+                     CardinalityDistribution.shifted_poisson(0.0, 4)):
+            assert dist.sample(rng) == 4
+        assert rng.getstate() == state
+
+    def test_categorical_picks_the_first_running_sum_above_the_uniform(self):
+        law = Categorical("abc", [0.25, 0.5, 0.25])
+        for seed in range(200):
+            u = make_rng(seed).random()
+            assert law.sample(make_rng(seed)) == "abc"[(u >= 0.25) + (u >= 0.75)]
+
+    def test_categorical_pins_its_last_running_sum_to_one(self):
+        class Top:
+            def random(self):
+                return 1.0 - 2.0 ** -53  # the largest uniform
+
+        sevenths = [1 / 7] * 7
+        assert sum(sevenths) < Top().random()
+        assert Categorical(range(7), sevenths).sample(Top()) == 6
+
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             CardinalityDistribution.constant(0)
@@ -103,9 +130,9 @@ class TestPreferentialSelector:
 
     def test_increment_grows_occurrences_and_weight(self):
         sel = _selector_with_degrees([2, 2], 1.0)
-        before = sel.degree_total
+        before = len(sel.occurrences)
         sel.record_degree_increment([0])
-        assert sel.degree_total == before + 1
+        assert len(sel.occurrences) == before + 1
         sel.record_degree_increment([1, 1])
         assert Counter(sel.occurrences)[1] == 4
 
