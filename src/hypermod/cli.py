@@ -37,19 +37,15 @@ def _cmd_generate(args):
     params = parse_model_config(args.config, args.model)
     if args.steps is not None:
         params.steps = args.steps
-    header = ["t", "vertices", "edges", "degree_sum"]
     if args.model == "h":
         h, stats = generate_h(params, args.seed)
-        header.append("weight_sum")
     else:
         h, planted, stats = generate_g(params, args.seed)
-        r = params.num_communities
-        header += [f"size_{j}" for j in range(r)] + [f"deg_{j}" for j in range(r)]
     files.write_hypergraph(h, args.out)
     if args.communities:
         files.write_labels(planted.block_of, args.communities)
     if args.stats:
-        files.write_csv(args.stats, header, stats.records)
+        files.write_csv(args.stats, stats.header, stats.records)
     _print_kv([
         ("vertices", h.num_vertices),
         ("edges", h.num_edges),
@@ -188,8 +184,15 @@ def _int_at_least(name, lo):
     return convert
 
 
+class _Parser(argparse.ArgumentParser):
+    """Errors print as one line, ``prog: error: message``; subparsers inherit this."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypermod",
         description="Preferential-attachment hypergraphs with communities: "
         "generation, modularity and power-law analysis.",

@@ -195,7 +195,7 @@ def _pop_profile(entries, num_communities):
     try:
         return InterCommunityProfile(profile_entries, num_communities)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{_UNKEYED['profile']}: {exc}") from None
 
 
 def parse_h_params(entries):
@@ -208,7 +208,9 @@ def parse_g_params(entries):
     fields = _take_fields(entries, _G_KEYS)
     params = GParams(profile=_pop_profile(entries, len(fields["membership"])), **fields)
     _reject_unknown(entries, "community model")
-    return _validated(params)
+    total = sum(_validated(params).membership)  # 1 within 1e-6; normalized once, here
+    params.membership = [m / total for m in params.membership]
+    return params
 
 
 def parse_model_config(path, model=None):

@@ -16,7 +16,7 @@ from .hypergraph import Hypergraph
 from .modularity import Partition
 from .sampling import (CardinalityDistribution, Categorical, PreferentialSelector, make_rng,
                        uniform_index)
-from .genh import HParams, ParamError, RunStats, checkpoint_times
+from .genh import HParams, ParamError, grow
 
 _SUM_TOL = 1e-6
 
@@ -105,7 +105,6 @@ class GParams:
         total = sum(self.membership)
         if abs(total - 1.0) > _SUM_TOL:
             raise ParamError(("membership",), f"probabilities sum to {total}, expected 1")
-        self.membership = [m / total for m in self.membership]
         if self.profile.num_communities != r:
             raise ParamError(
                 ("profile", "membership"),
@@ -126,12 +125,12 @@ class GParams:
 
 
 def g_step(g, params, selectors, membership, rng):
-    """Apply one step; returns ("vertex", j) or ("hyperedge", subset).
+    """Apply one step, returning its tag, ``"vertex"`` or ``"hyperedge"``.
     ``membership`` is the ``Categorical`` law of a new vertex's community."""
     if rng.random() < params.p_vertex:
         j = membership.sample(rng)
         selectors[j].add_member(g.add_vertex())
-        return ("vertex", j)
+        return "vertex"
     subset = params.profile.sample(rng)
     r = params.num_communities
     chunks = []
@@ -142,7 +141,7 @@ def g_step(g, params, selectors, membership, rng):
     # each chunk was drawn from its own community's urn
     for c, chunk in zip(subset, chunks):
         selectors[c].record_degree_increment(chunk)
-    return ("hyperedge", subset)
+    return "hyperedge"
 
 
 def generate_g(params, seed):
@@ -162,21 +161,12 @@ def generate_g(params, seed):
         g.add_hyperedge([v])
         selectors[j].add_member(v)
         selectors[j].record_degree_increment([v])
-    stats = RunStats()
-
-    def record(t):
-        stats.record(t, g, *[len(s.members) for s in selectors],
-                     *[len(s.occurrences) for s in selectors])
-
-    record(0)
     membership = Categorical(range(r), params.membership)
-    marks = checkpoint_times(params.steps)
-    counts = stats.event_counts
-    for t in range(1, params.steps + 1):
-        tag = g_step(g, params, selectors, membership, rng)[0]
-        counts[tag] = counts.get(tag, 0) + 1
-        if t in marks:
-            record(t)
+    names = [f"size_{j}" for j in range(r)] + [f"deg_{j}" for j in range(r)]
+    # g_step is looked up on each call, so a wrapper set on the module sees every step
+    stats = grow(g, params.steps, lambda t: g_step(g, params, selectors, membership, rng), names,
+                 lambda: [*(len(s.members) for s in selectors),
+                          *(len(s.occurrences) for s in selectors)])
     # each vertex is a member of exactly one community's urn
     community = [0] * g.num_vertices
     for j, sel in enumerate(selectors):

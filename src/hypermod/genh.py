@@ -80,20 +80,18 @@ class HParams:
 
 @dataclass
 class RunStats:
-    """Checkpointed trajectory of a run of either generator.
+    """Checkpointed trajectory of a run of either generator, kept by ``grow``.
 
-    ``records`` holds one row per checkpoint, (t, vertices, edges,
-    degree_sum, *columns), the row of the model's ``--stats`` CSV: ``h``
-    adds weight_sum, the selection law's normalizer ``D + gamma * n``, and
-    ``g`` each community's member count, then each one's degree total.
+    ``records`` holds one row per checkpoint, the rows of the model's
+    ``--stats`` CSV, and ``header`` names their columns: ``h`` adds
+    weight_sum, the selection law's normalizer ``D + gamma * n``, and ``g``
+    each community's member count, then each one's degree total.
     ``event_counts`` counts the step tags.
     """
 
+    header: list = field(default_factory=list)
     records: list = field(default_factory=list)
     event_counts: dict = field(default_factory=dict)
-
-    def record(self, t, h, *columns):
-        self.records.append((t, h.num_vertices, h.num_edges, h.degree_sum, *columns))
 
 
 def initial_hypergraph():
@@ -154,14 +152,24 @@ def h_step(h, params, t, rng):
 
 def checkpoint_times(steps):
     """Geometric checkpoints 1, 2, 4, ... plus the final step."""
-    times = set()
-    t = 1
-    while t <= steps:
-        times.add(t)
-        t *= 2
-    if steps > 0:
-        times.add(steps)
-    return times
+    powers = {2 ** i for i in range(steps.bit_length())}  # those <= steps
+    return powers | {steps} if steps else powers
+
+
+def grow(h, steps, step, names, columns):
+    """Run ``step(t)`` on ``h`` for t = 1..steps, counting the tags it returns, and
+    keep the row (t, vertices, edges, degree_sum, *columns()) at t = 0 and at each
+    ``checkpoint_times`` mark; ``names`` names the ``columns()`` values."""
+    stats = RunStats(["t", "vertices", "edges", "degree_sum", *names])
+    counts = stats.event_counts
+    marks = checkpoint_times(steps) | {0}
+    for t in range(steps + 1):
+        if t:
+            tag = step(t)
+            counts[tag] = counts.get(tag, 0) + 1
+        if t in marks:
+            stats.records.append((t, h.num_vertices, h.num_edges, h.degree_sum, *columns()))
+    return stats
 
 
 def generate_h(params, seed):
@@ -169,17 +177,7 @@ def generate_h(params, seed):
     params.validate()
     rng = make_rng(seed)
     h = initial_hypergraph()
-    stats = RunStats()
-
-    def record(t):
-        stats.record(t, h, h.degree_sum + params.gamma * h.num_vertices)
-
-    record(0)
-    marks = checkpoint_times(params.steps)
-    counts = stats.event_counts
-    for t in range(1, params.steps + 1):
-        tag = h_step(h, params, t, rng)
-        counts[tag] = counts.get(tag, 0) + 1
-        if t in marks:
-            record(t)
+    # h_step is looked up on each call, so a wrapper set on the module sees every step
+    stats = grow(h, params.steps, lambda t: h_step(h, params, t, rng), ["weight_sum"],
+                 lambda: [h.degree_sum + params.gamma * h.num_vertices])
     return h, stats

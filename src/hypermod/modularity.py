@@ -202,20 +202,21 @@ def _restricted_growth_strings(n):
 
 
 _BRUTE_FORCE_CHUNK = 4096  # partitions scored together
+BRUTE_FORCE_MAX_VERTICES = 12  # Bell(12) is about 4.2 million partitions
 
 
-def brute_force_modularity(h, max_vertices=12):
+def brute_force_modularity(h):
     """A maximizer of the strict score over every set partition of the vertices.
 
-    Exhaustive over Bell(n) partitions, so n is capped (Bell(12) is
-    about 4.2 million). Returns a maximizing partition and its score.
+    Exhaustive over Bell(n) partitions, so n is capped at
+    ``BRUTE_FORCE_MAX_VERTICES``. Returns a maximizing partition and its score.
     When several partitions share the exact optimum, floating-point
     rounding decides which of them is returned.
     """
     import numpy as np
     n = h.num_vertices
-    if n > max_vertices:
-        raise ValueError(f"{n} vertices exceed the brute-force cap of {max_vertices}")
+    if n > BRUTE_FORCE_MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceed the brute-force cap of {BRUTE_FORCE_MAX_VERTICES}")
     if n == 0:
         return Partition([], 0), 0.0
     if h.num_edges == 0:

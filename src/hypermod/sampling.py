@@ -13,6 +13,7 @@ identical streams.
 
 import math
 import random
+import sys
 from array import array
 from bisect import bisect_right
 from itertools import accumulate
@@ -20,6 +21,8 @@ from itertools import accumulate
 from . import hypergraph
 
 PMF_TAIL_MASS = 1e-12  # the tail mass that ``pmf_items`` drops from a Poisson law
+# the largest lam whose exp(-lam), where the pmf walk and the sampler start, is normal
+POISSON_MAX_LAM = -math.log(sys.float_info.min)
 
 
 def make_rng(seed):
@@ -88,6 +91,8 @@ class CardinalityDistribution:
             lam, shift = params["lam"], params["shift"]
             if lam < 0 or shift < 1:
                 raise ValueError("shifted_poisson needs lam >= 0 and shift >= 1")
+            if lam > POISSON_MAX_LAM:
+                raise ValueError(f"shifted_poisson needs lam <= {POISSON_MAX_LAM:.6g}, got {lam}")
         else:
             raise ValueError(f"unknown distribution kind {kind!r}")
 
@@ -152,7 +157,7 @@ class CardinalityDistribution:
             return p["lo"] + uniform_index(p["hi"] - p["lo"] + 1, rng)
         if self.kind == "categorical":
             return self._law.sample(rng)
-        # shifted_poisson, Knuth's product-of-uniforms; lam is small here
+        # shifted_poisson, Knuth's product-of-uniforms: about lam + 1 uniforms a draw
         lam, shift = p["lam"], p["shift"]
         if lam == 0:
             return shift

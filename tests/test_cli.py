@@ -223,6 +223,16 @@ def test_bounds_config_only_with_an_unbounded_size_law_prints_nan(tmp_path, caps
         "lemma3_bound: nan\nlemma4_bound: nan\nalpha_noise: 0.29999999999999993\nbeta_max: 0.4\n")
 
 
+def test_bounds_poisson_lam_past_the_normal_range_is_a_config_error(tmp_path, capsys):
+    """At lam = 800, exp(-lam) is 0: the pmf walk used to run out of memory."""
+    cfg = write(tmp_path, G_CONFIG.replace("x: constant(3); constant(3)",
+                                          "x: shifted_poisson(800,1); constant(2)"), "g.txt")
+    assert run_cli(["bounds", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("config error: key 'x': ") and "lam <= 708.396, got 800.0" in err
+
+
 def test_bounds_config_only_with_bounded_sizes_keeps_its_output(tmp_path, capsys):
     """With every size law bounded, the size cap is the largest size the
     model draws (3 * 5 here), which is also the expected-size pmf's largest."""
@@ -271,7 +281,9 @@ def test_wrong_model_for_subcommand(tmp_path):
 
 def test_unknown_subcommand_exit_code(capsys):
     assert run_cli(["frobnicate"]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.startswith("hypermod: error: argument command: invalid choice: 'frobnicate' ")
+    assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_runtime_error_exit_code(tmp_path):
@@ -282,6 +294,7 @@ def test_runtime_error_exit_code(tmp_path):
     (["generate-h", "--config", "ba.cfg", "--out", "h.txt"], 0, None),
     (["predict", "--config", "bad.cfg"], 2, "config error: "),
     (["fit-powerlaw", "--input", "missing.txt"], 1, "error: "),
+    (["frobnicate"], 2, "hypermod: error: argument command: invalid choice: 'frobnicate'"),
 ])
 def test_module_entry_point_exit_codes(tmp_path, args, code, prefix):
     """``main()``, the function behind the ``hypermod`` console script, run
@@ -412,6 +425,21 @@ def test_experiment_option_error_exit_code(tmp_path, capsys, text, key):
     ("model: h\np_ve: 1\ny: shifted_poisson(nan,2)\n", "y"),
     ("model: h\np_ve: 0.5\np_e: 0.5\ny: constant(2)\nx: categorical(2:nan,3:0.5)\n", "x"),
     ("model: h\np_ve: 1\ny: constant(2)\ncardinality_cap: maybe\n", "cardinality_cap"),
+    # past lam = 708.4, exp(-lam) is no longer a normal float
+    ("model: h\np_ve: 1\ny: shifted_poisson(800,2)\n", "y"),
+    ("model: g\np: 0.5\nmembership: 0.5,0.5\nx: shifted_poisson(800,1); constant(2)\n"
+     "0: 0.5\n1: 0.5\n", "x"),
+    ("model: g\np: 0.5\nmembership: 0.5,0.5\nx: constant(2); constant(2)\n"
+     "0,1: 0.5\n1,0: 0.5\n", "i,j: prob"),
+    ("model: g\np: 0.5\nmembership: 0.5,0,0.5\nx: constant(2); constant(2); constant(2)\n"
+     "0: 0.5\n2: 0.5\n", "membership"),
+    ("model: g\np: 0.5\nmembership: 0.5,0.5\nx: constant(2); constant(2)\ngamma: -1\n"
+     "0: 0.5\n1: 0.5\n", "gamma"),
+    ("model: g\np: 0.5\nmembership: 0.5,0.5\nx: constant(2); constant(2)\nsteps: -1\n"
+     "0: 0.5\n1: 0.5\n", "steps"),
+    ("model: h\np_ve: 1\ny: constant(2)\nsteps: -1\n", "steps"),
+    ("model: h\np_ve: 1\ny: categorical(0:1.0)\n", "y"),
+    ("model: h\np_ve: 1\ny: categorical(2:1.5,3:-0.5)\n", "y"),
 ])
 def test_model_config_error_names_key(tmp_path, capsys, text, key):
     cfg = write(tmp_path, text, "model.cfg")
@@ -467,9 +495,26 @@ def test_non_integer_kmax_rejected_at_argument_parsing(tmp_path, capsys):
     cfg = write(tmp_path, BA_CONFIG, "ba.cfg")
     out = tmp_path / "oracle.csv"
     assert run_cli(["oracle", "--config", cfg, "--kmax", "x", "--out", str(out)]) == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
-    assert errors == ["hypermod oracle: error: argument --kmax: expected an integer, got 'x'"]
+    assert capsys.readouterr().err == (
+        "hypermod oracle: error: argument --kmax: expected an integer, got 'x'\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["predict"], "hypermod predict: error: the following arguments are required: --config"),
+    ([], "hypermod: error: the following arguments are required: command"),
+], ids=["missing_config", "no_subcommand"])
+def test_argument_errors_are_one_line(capsys, argv, line):
+    """An argument error is the one line ``prog: error: message``, with no
+    usage line before it."""
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_help_is_unchanged(capsys):
+    assert run_cli(["predict", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: hypermod predict [-h] --config CONFIG\n") and err == ""
 
 
 @pytest.mark.parametrize("kmin", ["0", "-4"])

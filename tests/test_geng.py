@@ -244,6 +244,9 @@ def test_generate_g_matches_reference(monkeypatch, params):
     assert planted.block_of == ref_community
     assert stats.records == records
     assert stats.event_counts == event_counts
+    r = params.num_communities
+    assert stats.header == ["t", "vertices", "edges", "degree_sum",
+                            *(f"size_{j}" for j in range(r)), *(f"deg_{j}" for j in range(r))]
     assert rngs[0].getstate() == ref_rng.getstate()
     # every urn holds exactly its community's memberships, in order
     for j, urn in enumerate(urns):
@@ -325,6 +328,21 @@ def test_expected_size_pmf_matches_empirical():
             continue
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(observed.get(size, 0) / n - p) < 4 * sigma
+
+
+def test_validate_and_generate_leave_membership_as_given():
+    """Validation checks the membership law and never rewrites it: a
+    replica that re-divided it by its sum would draw from a law that drifts
+    with the number of runs."""
+    r = 47
+    membership = [1.0 / r] * r
+    profile = InterCommunityProfile({(j,): 1.0 / r for j in range(r)}, r)
+    params = GParams(0.5, list(membership), profile, [CONST(2)] * r, steps=50)
+    params.validate()
+    assert params.membership == membership
+    for seed in range(4):
+        generate_g(params, seed)
+        assert all(a.hex() == b.hex() for a, b in zip(params.membership, membership))
 
 
 def test_invalid_params_rejected():

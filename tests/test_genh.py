@@ -9,7 +9,6 @@ from hypermod.genh import (
     EVENT_NOTHING,
     EVENT_VERTEX,
     EVENT_VERTEX_EDGES,
-    RunStats,
     checkpoint_times,
     h_step,
     initial_hypergraph,
@@ -256,16 +255,21 @@ def _reference_generate_h(params, seed):
     rng = make_rng(seed)
     h = initial_hypergraph()
     occ, pool = [0], [0]
-    stats = RunStats()
-    stats.record(0, h, h.degree_sum + params.gamma * h.num_vertices)
+    records, event_counts = [], {}
+
+    def record(t):
+        records.append((t, h.num_vertices, h.num_edges, h.degree_sum,
+                        h.degree_sum + params.gamma * h.num_vertices))
+
+    record(0)
     marks = checkpoint_times(params.steps)
     for t in range(1, params.steps + 1):
         tag = _reference_h_step(h, params, occ, pool, t, rng)
-        stats.event_counts[tag] = stats.event_counts.get(tag, 0) + 1
+        event_counts[tag] = event_counts.get(tag, 0) + 1
         if t in marks:
-            stats.record(t, h, h.degree_sum + params.gamma * h.num_vertices)
+            record(t)
     assert list(h.members) == occ
-    return h, stats, rng
+    return h, (records, event_counts), rng
 
 
 POISSON = CardinalityDistribution.shifted_poisson(1.5, 2)
@@ -299,8 +303,8 @@ def test_generate_h_matches_selector_reference(monkeypatch, params):
     ref, ref_stats, ref_rng = _reference_generate_h(params, seed=21)
     assert h.edges == ref.edges
     assert h.degrees == ref.degrees
-    assert stats.records == ref_stats.records
-    assert stats.event_counts == ref_stats.event_counts
+    assert (stats.records, stats.event_counts) == ref_stats
+    assert stats.header == ["t", "vertices", "edges", "degree_sum", "weight_sum"]
     assert rngs[0].getstate() == ref_rng.getstate()
 
 

@@ -99,6 +99,16 @@ class TestCardinalityDistribution:
         with pytest.raises(ValueError):
             CardinalityDistribution.shifted_poisson(1.0, 0)
 
+    def test_poisson_lam_where_exp_minus_lam_stays_normal(self):
+        """exp(-lam) starts both the pmf walk and Knuth's sampler: at lam = 700
+        it is a normal float and the walk reaches its mass; past about 708.4
+        it is subnormal or 0, and the law is rejected."""
+        pmf = CardinalityDistribution.shifted_poisson(700.0, 1).pmf_items()
+        assert sum(p for _, p in pmf) >= 1.0 - 1e-12
+        for lam in (720.0, 746.0, 800.0):
+            with pytest.raises(ValueError, match="lam <= 708.396"):
+                CardinalityDistribution.shifted_poisson(lam, 1)
+
 
 def _selector_with_degrees(degrees, gamma):
     sel = PreferentialSelector(gamma)

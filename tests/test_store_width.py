@@ -211,7 +211,7 @@ def consumers(h, part):
         "detected": detect_communities(flatten(h), seed=1).block_of,
     }
     if h.num_vertices <= 9:
-        out["brute_force"] = brute_force_modularity(h, max_vertices=9)
+        out["brute_force"] = brute_force_modularity(h)
     return out
 
 
