@@ -9,7 +9,6 @@ row averages its replicas in replica order.
 
 import math
 from dataclasses import replace
-from statistics import fmean, stdev
 
 from .analysis import (
     degree_fraction_oracle,
@@ -65,7 +64,14 @@ def _sweep(points, replicas, seed, run):
             for i, point in enumerate(points)]
 
 
+def fmean(xs):
+    """``statistics.fmean`` of a non-empty sequence, bit for bit: importing
+    ``statistics`` loads ``fractions`` and ``decimal`` into every command."""
+    return math.fsum(xs) / len(xs)
+
+
 def _stdev(xs):
+    from statistics import stdev
     return stdev(xs) if len(xs) > 1 else 0.0
 
 

@@ -13,8 +13,8 @@ from functools import cache
 from .hypergraph import Hypergraph
 from .modularity import Partition
 
-# Vertex ids and #vertices counts must be below this: the store's arrays
-# start as int32 and widen to int64 when a value needs it, but go no wider.
+# Vertex ids and #vertices counts must be below this: the store's member
+# array starts as int32 and widens to int64 when an id needs it, but goes no wider.
 _ID_LIMIT = 2 ** 63
 # Characters per read. It keeps the bulk reader's arrays (at most 8 bytes
 # per character) below 128 KiB, glibc's initial mmap threshold: freeing a

@@ -40,11 +40,11 @@ def _one_level(indptr, indices, data, k, total, order, block):
             vol[bv] -= kv
             stay = w_to.get(bv, 0.0) / total - vol[bv] * kv / two_m2
             best_b, best_score = bv, stay
-            for b in sorted(w_to):
-                if b == bv:
-                    continue
-                score = w_to[b] / total - vol[b] * kv / two_m2
-                if score > best_score:
+            # one pass in any order picks what a scan in increasing block id
+            # picks: the lowest block of the best score, and ``bv`` on a tie
+            for b, w in w_to.items():
+                score = w / total - vol[b] * kv / two_m2
+                if score > best_score or (score == best_score and best_b != bv and b < best_b):
                     best_b, best_score = b, score
             if 0.0 > best_score:
                 # detaching into a fresh singleton block scores exactly 0
@@ -89,8 +89,8 @@ def detect_communities(graph, seed=0):
     import numpy as np
     n = graph.num_vertices
     # Flattened weights are integer counts and every sum stays below 2**53,
-    # so no order of additions changes a value; candidate blocks are visited
-    # in sorted order.
+    # so no order of additions changes a value, and ties between candidate
+    # blocks go to the lowest block id.
     k = graph.degrees()
     total = int(k.sum()) / 2
     if total == 0:

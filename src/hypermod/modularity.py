@@ -90,13 +90,13 @@ EDGE_BATCH = 1 << 15
 
 def edge_batches(h):
     """The hyperedges in runs of at most ``EDGE_BATCH`` memberships (or of one
-    edge): per run, its members and its edge offsets counted from 0, as views
-    in the store's dtypes (``Hypergraph.arrays``)."""
+    edge): per run, a view of its members in the store's dtype and its int64
+    edge offsets counted from 0 (``Hypergraph.arrays``)."""
     import numpy as np
     members, offsets = h.arrays()
     first = 0
     while first < h.num_edges:
-        start = int(offsets[first])  # a narrow scalar's sum could wrap
+        start = offsets[first]
         last = max(first + 1, int(np.searchsorted(offsets, start + EDGE_BATCH, side="right")) - 1)
         yield members[start:offsets[last]], offsets[first:last + 1] - start
         first = last
@@ -151,7 +151,7 @@ def graph_modularity_score(h, part):
     tax reduces to ``(vol/2|E|)^2``; other cardinalities are rejected.
     """
     import numpy as np
-    sizes = np.diff(h.arrays()[1])
+    sizes = np.frombuffer(h.sizes, dtype=h.sizes.typecode)
     if (sizes != 2).any():
         raise ValueError("graph modularity needs 2-uniform input, "
                          f"found cardinality {sizes[sizes != 2][0]}")
@@ -178,7 +178,7 @@ def cardinality_profile(h):
     ne = h.num_edges
     if ne == 0:
         raise ValueError("cardinality profile needs at least one hyperedge")
-    sizes, counts = distinct_counts(np.diff(h.arrays()[1]))
+    sizes, counts = distinct_counts(np.array(h.sizes))
     a = {ell: count / ne for ell, count in zip(sizes.tolist(), counts.tolist())}
     return CardinalityProfile(a, h.degree_sum / ne)
 

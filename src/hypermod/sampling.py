@@ -207,8 +207,8 @@ class PreferentialSelector:
     the urn, so all draws of one time step see the same state.
 
     The occurrence array follows the store's width rule: it starts in
-    ``hypergraph._NARROW`` (int32) and widens once, to int64, when a new
-    member's id does not fit.
+    ``hypergraph._NARROW`` (int32) and widens through ``hypergraph.widened``,
+    to int64, when a new member's id does not fit.
     """
 
     def __init__(self, gamma):

@@ -26,9 +26,8 @@ def recomputed_degrees(h):
 
 
 def edge_sizes(h):
-    """Cardinality of every hyperedge, in insertion order, from ``h.offsets``."""
-    offsets = h.offsets
-    return [offsets[i + 1] - offsets[i] for i in range(h.num_edges)]
+    """Cardinality of every hyperedge, in insertion order, from ``h.sizes``."""
+    return list(h.sizes)
 
 
 def naive_score(h, part):
@@ -76,12 +75,12 @@ def marginals(sel):
 def reference_parse_hypergraph(path):
     """The hyperedge-list format read one line at a time, as plain Python.
 
-    Returns ``(num_vertices, members, offsets)`` as lists, or raises the
+    Returns ``(num_vertices, members, sizes)`` as lists, or raises the
     ``ValueError`` that ``files.parse_hypergraph`` must raise, message for
     message.
     """
     limit = 2 ** 63
-    num_vertices, members, offsets = 0, [], [0]
+    num_vertices, members, sizes = 0, [], []
     declared = None
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
@@ -107,14 +106,14 @@ def reference_parse_hypergraph(path):
                 raise ValueError(f"{path}:{lineno}: vertex id out of range in {line!r}")
             num_vertices = max(num_vertices, max(ids) + 1)
             members.extend(ids)
-            offsets.append(len(members))
+            sizes.append(len(ids))
     if declared is not None:
         if declared < num_vertices:
             raise ValueError(
                 f"{path}: header declares {declared} vertices but ids reach {num_vertices - 1}"
             )
         num_vertices = declared
-    return num_vertices, members, offsets
+    return num_vertices, members, sizes
 
 
 def blocks(part):
@@ -175,7 +174,8 @@ def reference_relabeled(block_of):
 
 
 def reference_one_level(adj, k, total, order):
-    """Greedy local moving on a symmetric adjacency; returns the block assignment."""
+    """Greedy local moving on a symmetric adjacency; returns the block assignment.
+    Candidate blocks are scanned in increasing id, so ties go to the lowest one."""
     block = list(range(len(adj)))
     vol = list(k)
     two_m2 = 2.0 * total * total

@@ -65,7 +65,7 @@ def test_rejects_empty_edge_and_bad_ids():
             with pytest.raises(ValueError, match=f"^{message}$"):
                 h.add_hyperedge(members)
             assert list(h.members) == [0, 4, 4]
-            assert list(h.offsets) == [0, 3]
+            assert list(h.sizes) == [3]
             assert h.num_edges == 1
 
 
@@ -117,6 +117,6 @@ def test_store_keeps_only_its_primary_facts():
         else:
             h.add_hyperedge([rng.randrange(h.num_vertices) for _ in range(rng.randint(1, 4))])
         h.degrees, h.edges, h.degree_histogram()
-    assert set(vars(h)) == {"num_vertices", "members", "offsets"}
+    assert set(vars(h)) == {"num_vertices", "members", "sizes"}
     assert h.degrees == recomputed_degrees(h)
 

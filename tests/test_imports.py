@@ -14,6 +14,8 @@ compute on numpy arrays and load numpy, but no scipy module and not
 ``np.unique`` imports ``numpy.ma`` on numpy >= 2.3. Only the amplitude of
 ``predict`` on an ``h`` config loads ``scipy.special`` (for log-gamma),
 and nothing loads ``scipy.optimize``.
+No command but the experiments with replicas loads ``statistics`` (and with
+it ``fractions`` and ``decimal``): a mean is ``math.fsum`` over a length.
 pytest itself loads numpy and scipy, so each case runs in a fresh
 interpreter.
 """
@@ -86,6 +88,10 @@ CASES = {
                   '"--communities", "{d}/labels.tsv")\n',
     "bounds_config": 'run("bounds", "--config", "{d}/g.cfg")\n',
     "detect": 'run("detect", "--input", "{d}/small.txt", "--out", "{d}/part.tsv")\n',
+    "modularity": """\
+run("detect", "--input", "{d}/small.txt", "--out", "{d}/part.tsv")
+run("modularity", "--input", "{d}/small.txt", "--partition", "{d}/part.tsv")
+""",
     "oracle": 'run("oracle", "--config", "{d}/h.cfg", "--kmax", "8", "--out", "{d}/oracle.csv")\n',
     "predict_g": 'run("predict", "--config", "{d}/g.cfg")\n',
     "recurrence_check": 'run("experiment", "--config", "{d}/exp.cfg", "--out", "{d}/exp.csv")\n',
@@ -120,8 +126,9 @@ NO_NUMPY = {"import", "generate-h", "generate-g", "oracle", "predict_g", "bounds
 
 
 def loaded_modules(case, tmp_path):
-    """Names of the scipy modules, and ``numpy`` and ``numpy.ma`` if they
-    are loaded, after running ``case`` in a fresh interpreter."""
+    """Names of the scipy modules, and ``numpy``, ``numpy.ma`` and
+    ``statistics`` if they are loaded, after running ``case`` in a fresh
+    interpreter."""
     (tmp_path / "g.cfg").write_text(G_CONFIG)
     (tmp_path / "small.txt").write_text("0 1 2\n1 2\n2 3 4\n3 4\n")
     (tmp_path / "h.cfg").write_text(H_CONFIG)
@@ -130,7 +137,8 @@ def loaded_modules(case, tmp_path):
     (tmp_path / "regressions.cfg").write_text(REGRESSIONS)
     code = PRELUDE + CASES[case] + (
         "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m.split('.')[0] == 'scipy' or m in ('numpy', 'numpy.ma'))))\n"
+        "                        if m.split('.')[0] == 'scipy'\n"
+        "                        or m in ('numpy', 'numpy.ma', 'statistics'))))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path)],
@@ -147,8 +155,13 @@ def loaded_modules(case, tmp_path):
                                   "generate-h", "generate-g", "bounds_config", "detect"])
 def test_no_scipy_without_special_functions(case, tmp_path):
     loaded = loaded_modules(case, tmp_path)
-    assert [m for m in loaded if m != "numpy"] == []
+    assert [m for m in loaded if m not in ("numpy", "statistics")] == []
     assert ("numpy" in loaded) == (case not in NO_NUMPY)
+
+
+@pytest.mark.parametrize("case", ["generate-g", "detect", "modularity"])
+def test_commands_load_no_statistics(case, tmp_path):
+    assert "statistics" not in loaded_modules(case, tmp_path)
 
 
 def test_h_prediction_loads_special_not_optimize(tmp_path):

@@ -228,7 +228,7 @@ def test_bulk_reader_matches_line_rule(text, chunk, narrow):
                 mock.patch.object(hypergraph, "_NARROW", narrow):
             try:
                 h = parse_hypergraph(path)
-                got = (h.num_vertices, list(h.members), list(h.offsets))
+                got = (h.num_vertices, list(h.members), list(h.sizes))
             except ValueError as e:
                 got = str(e)
     assert got == expected

@@ -45,7 +45,8 @@ from hypermod.analysis import _mle_beta, _pairwise_sum
 from hypermod.experiments import uniform_block_params
 from hypermod.geng import generate_g
 from hypermod.genh import generate_h
-from hypermod.modularity import _strict_score, block_counts, distinct_counts
+from hypermod.louvain import _one_level
+from hypermod.modularity import WeightedGraph, _strict_score, block_counts, distinct_counts
 
 from helpers import (
     adjacency_weights,
@@ -53,6 +54,7 @@ from helpers import (
     reference_detect_communities,
     reference_fit_tail_exponent,
     reference_flatten,
+    reference_one_level,
     reference_strict_score,
     reference_weighted_modularity,
 )
@@ -159,6 +161,39 @@ def test_detection_breaks_ties_like_reference(cliques, size, rng, seed):
         h.add_hyperedge([members[-1], ids[(c + 1) * size % n]])
     part = detect_communities(flatten(h), seed=seed)
     assert part.block_of == reference_detect_communities(reference_flatten(h), seed).block_of
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A symmetric adjacency on 2-10 vertices with weights 1 and 2, so that
+    many candidate blocks tie, and a visiting order of its vertices."""
+    n = draw(st.integers(2, 10))
+    adj = [{} for _ in range(n)]
+    for u, v, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.integers(1, 2)), max_size=30)):
+        if u != v:
+            adj[u][v] = adj[v][u] = adj[u].get(v, 0) + w
+    order = draw(st.permutations(range(n)))
+    return adj, [v for v in order if adj[v]]
+
+
+@settings(max_examples=300)
+@given(weighted_graphs())
+def test_one_pass_block_choice_equals_sorted_scan(graph):
+    """``_one_level`` picks each vertex's block in one pass over its
+    candidates; the reference scans them in increasing block id."""
+    adj, order = graph
+    n = len(adj)
+    pairs = sorted((u, v) for u in range(n) for v in adj[u] if u < v)
+    wg = WeightedGraph.from_pair_counts(n, [u * n + v for u, v in pairs],
+                                        [adj[u][v] for u, v in pairs])
+    k = [sum(nbrs.values()) for nbrs in adj]
+    total = sum(k) / 2
+    if total == 0:
+        return
+    got = _one_level(memoryview(wg.indptr), memoryview(wg.indices), memoryview(wg.data), k,
+                     total, order, list(range(n)))
+    assert got == reference_one_level(adj, k, total, order)
 
 
 @given(hypergraphs(), st.data())
