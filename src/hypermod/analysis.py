@@ -23,10 +23,10 @@ only a tail holding such a degree can fit differently from a numpy fit.
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import add
+from typing import NamedTuple
 
 from .genh import ParamError
 from .geng import community_marginals, expected_cardinality_size_pmf, reduce_community
@@ -39,8 +39,7 @@ _DIRECT_GAP = 32
 _DBETA = 1e-7  # the central-difference step of zeta's derivative in beta
 
 
-@dataclass
-class TheoryPrediction:
+class TheoryPrediction(NamedTuple):
     """Power-law exponent and the per-step rates behind it.
 
     ``vertex_rate``  expected vertices added per step
@@ -57,8 +56,7 @@ class TheoryPrediction:
     amplitude: float
 
 
-@dataclass
-class DegreeFractionTable:
+class DegreeFractionTable(NamedTuple):
     """Exact limit fractions of degree-k vertices per time step.
 
     ``limits[k]`` is the limiting value of (number of degree-k vertices)/t;
@@ -70,8 +68,7 @@ class DegreeFractionTable:
     per_vertex: list
 
 
-@dataclass
-class TailFit:
+class TailFit(NamedTuple):
     """Discrete power-law fit of a degree histogram tail."""
 
     beta_hat: float
@@ -80,8 +77,7 @@ class TailFit:
     stderr: float
 
 
-@dataclass
-class BoundInputs:
+class BoundInputs(NamedTuple):
     """Per-community edge statistics feeding the modularity bounds.
 
     ``p_within[i]`` probability a hyperedge lies entirely inside community i;

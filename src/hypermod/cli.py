@@ -36,11 +36,12 @@ def _print_kv(pairs):
 def _cmd_generate(args):
     params = parse_model_config(args.config, args.model)
     if args.steps is not None:
-        params.steps = args.steps
-    if args.model == "h":
-        h, stats = generate_h(params, args.seed)
-    else:
-        h, planted, stats = generate_g(params, args.seed)
+        params = params._replace(steps=args.steps)
+    with config_keys(params):
+        if args.model == "h":
+            h, stats = generate_h(params, args.seed)
+        else:
+            h, planted, stats = generate_g(params, args.seed)
     files.write_hypergraph(h, args.out)
     if args.communities:
         files.write_labels(planted.block_of, args.communities)

@@ -13,7 +13,7 @@ import copy
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .sampling import CardinalityDistribution
 from .genh import HParams, ParamError
@@ -29,13 +29,12 @@ _PROFILE_KEY_RE = re.compile(r"^\d+(,\d+)*$")
 _REQUIRED = object()  # the default of a key that must be present
 
 
-@dataclass
-class ExperimentSpec:
+class ExperimentSpec(NamedTuple):
     """A named experiment plus its kind-specific options."""
 
     kind: str
-    replicas: int = 1
-    options: dict = field(default_factory=dict)
+    replicas: int
+    options: dict
 
 
 def _number(text):
@@ -70,6 +69,8 @@ def parse_distribution(text):
             return CardinalityDistribution.categorical(values, probs)
         if kind == "shifted_poisson":
             fields = args.split(",")
+            if len(fields) > 2:
+                raise ValueError(f"expected 1 or 2 arguments, got {len(fields)}")
             lam = _number(fields[0])
             shift = int(fields[1]) if len(fields) > 1 else 1
             return CardinalityDistribution.shifted_poisson(lam, shift)
@@ -209,8 +210,7 @@ def parse_g_params(entries):
     params = GParams(profile=_pop_profile(entries, len(fields["membership"])), **fields)
     _reject_unknown(entries, "community model")
     total = sum(_validated(params).membership)  # 1 within 1e-6; normalized once, here
-    params.membership = [m / total for m in params.membership]
-    return params
+    return params._replace(membership=[m / total for m in params.membership])
 
 
 def parse_model_config(path, model=None):
@@ -275,11 +275,13 @@ def _validate_experiment(kind, o):
         _check(0.0 < o["p"] <= 1.0, "p", "in (0, 1]", o["p"])
         _check(o["gamma"] >= 0.0, "gamma", ">= 0", o["gamma"])
         _check(o["target_vertices"] >= 1, "target_vertices", ">= 1", o["target_vertices"])
+        _check(o["alphas"], "alphas", "a non-empty list", o["alphas"])
         for alpha in o["alphas"]:
             _check(0.0 <= alpha <= 1.0, "alphas", "in [0, 1]", alpha)
             # cross-community noise needs a pair of communities to land on
             _check(alpha == 0.0 or o["communities"] >= 2, "alphas", "0 with one community", alpha)
     elif kind == "beta_sweep":
+        _check(o["gamma_values"], "gamma_values", "a non-empty list", o["gamma_values"])
         for gamma in o["gamma_values"]:
             _check(gamma >= 0.0, "gamma_values", ">= 0", gamma)
         _validated(o["params"])

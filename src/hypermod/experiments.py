@@ -8,7 +8,6 @@ row averages its replicas in replica order.
 """
 
 import math
-from dataclasses import replace
 
 from .analysis import (
     degree_fraction_oracle,
@@ -147,7 +146,7 @@ def beta_sweep(options, replicas, seed):
         return fit_tail_exponent(generate_h(params, run_seed)[0].degree_histogram()).beta_hat
 
     gammas = options["gamma_values"]
-    points = [replace(options["params"], gamma=gamma) for gamma in gammas]
+    points = [options["params"]._replace(gamma=gamma) for gamma in gammas]
     fits = _sweep(points, replicas, seed, run)
     return ["gamma", "beta_theory", "beta_hat_mean", "beta_hat_sd"], [
         (gamma, predicted_beta(params), fmean(f), _stdev(f))

@@ -10,7 +10,7 @@ Each community therefore evolves like the general single-population
 process, which is what the per-community reduction below exposes.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hypergraph import Hypergraph
 from .modularity import Partition
@@ -74,9 +74,10 @@ def community_marginals(profile):
     return s
 
 
-@dataclass
-class GParams:
+class GParams(NamedTuple):
     """Parameters of the community-structured process.
+
+    An immutable ``NamedTuple``: a changed copy is ``params._replace(steps=...)``.
 
     ``p_vertex``   probability of a vertex step (in (0,1))
     ``membership`` community probabilities of a new vertex, one per community

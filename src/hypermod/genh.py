@@ -10,7 +10,7 @@ edges beyond the one guaranteed slot per edge.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .hypergraph import Hypergraph
 from .sampling import CardinalityDistribution, make_rng, select_vertices
@@ -31,9 +31,10 @@ class ParamError(ValueError):
         self.rule = rule
 
 
-@dataclass
-class HParams:
+class HParams(NamedTuple):
     """Parameters of the general growth process.
+
+    An immutable ``NamedTuple``: a changed copy is ``params._replace(steps=...)``.
 
     ``p_vertex``      probability of adding an isolated vertex
     ``p_vertex_edge`` probability of adding a vertex with attachment edges
@@ -42,7 +43,9 @@ class HParams:
     ``edge_sizes``    size distributions of edges-only events, one per p_edge entry
     ``edges_per_event`` number of hyperedges added by a single event
     ``gamma``         additive smoothing of preferential selection
-    ``cap_sizes``     reject sampled sizes >= max(2, ceil(t^(1/4)))
+    ``steps``         number of time steps of ``generate_h``
+    ``cap_sizes``     reject sampled sizes >= ``size_cap(t)``; a law that an event
+                      draws must have a size below the cap at t = steps
     """
 
     p_vertex: float
@@ -76,10 +79,19 @@ class HParams:
             raise ParamError(("gamma",), "must be non-negative")
         if self.steps < 0:
             raise ParamError(("steps",), "must be >= 0")
+        if self.cap_sizes and self.steps >= 1:
+            # the cap never decreases, so a law at or above its last value is never drawn
+            cap = size_cap(self.steps)
+            laws = [("attach_size", self.p_vertex_edge, self.attach_size)]
+            laws += [("edge_sizes", p, d) for p, d in zip(self.p_edge, self.edge_sizes)]
+            for name, p, law in laws:
+                if p > 0 and law.smallest() >= cap:
+                    raise ParamError((name, "cap_sizes"),
+                                     f"every size is >= the cap {cap} at step {self.steps}, "
+                                     "so each edge would fall back to size 1")
 
 
-@dataclass
-class RunStats:
+class RunStats(NamedTuple):
     """Checkpointed trajectory of a run of either generator, kept by ``grow``.
 
     ``records`` holds one row per checkpoint, the rows of the model's
@@ -89,9 +101,9 @@ class RunStats:
     ``event_counts`` counts the step tags.
     """
 
-    header: list = field(default_factory=list)
-    records: list = field(default_factory=list)
-    event_counts: dict = field(default_factory=dict)
+    header: list
+    records: list
+    event_counts: dict
 
 
 def initial_hypergraph():
@@ -102,11 +114,16 @@ def initial_hypergraph():
     return h
 
 
+def size_cap(t):
+    """The bound that capped sizes stay below at step t: max(2, ceil(t^0.25))."""
+    return max(2, math.ceil(t ** 0.25))
+
+
 def sample_size(dist, t, cap_sizes, rng):
-    """Draw a hyperedge size, optionally rejecting values >= max(2, ceil(t^0.25))."""
+    """Draw a hyperedge size, optionally rejecting values >= ``size_cap(t)``."""
     if not cap_sizes:
         return dist.sample(rng)
-    cap = max(2, math.ceil(t ** 0.25))
+    cap = size_cap(t)
     for _ in range(100):
         z = dist.sample(rng)
         if z < cap:
@@ -160,7 +177,7 @@ def grow(h, steps, step, names, columns):
     """Run ``step(t)`` on ``h`` for t = 1..steps, counting the tags it returns, and
     keep the row (t, vertices, edges, degree_sum, *columns()) at t = 0 and at each
     ``checkpoint_times`` mark; ``names`` names the ``columns()`` values."""
-    stats = RunStats(["t", "vertices", "edges", "degree_sum", *names])
+    stats = RunStats(["t", "vertices", "edges", "degree_sum", *names], [], {})
     counts = stats.event_counts
     marks = checkpoint_times(steps) | {0}
     for t in range(steps + 1):

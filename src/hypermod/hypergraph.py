@@ -2,7 +2,7 @@
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Type code of a new store's member array (int32). It widens once, to
 # int64, the first time an id does not fit.
@@ -17,8 +17,7 @@ def widened(a, value):
     return array("i" if value < 1 << 31 else "q", a)
 
 
-@dataclass
-class DegreeHistogram:
+class DegreeHistogram(NamedTuple):
     """Number of vertices per degree, degree-0 vertices included."""
 
     counts: dict

@@ -12,7 +12,7 @@ from here, and they run on the standard library alone.
 """
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Partition:
@@ -51,8 +51,7 @@ class Partition:
         return len(self.block_of)
 
 
-@dataclass
-class ModularityBreakdown:
+class ModularityBreakdown(NamedTuple):
     """Score split into its edge contribution and degree tax."""
 
     edge_contribution: float
@@ -60,8 +59,7 @@ class ModularityBreakdown:
     score: float
 
 
-@dataclass
-class CardinalityProfile:
+class CardinalityProfile(NamedTuple):
     """Fractions of hyperedges per cardinality and mean cardinality."""
 
     a: dict

@@ -122,6 +122,17 @@ class CardinalityDistribution:
             return sum(v * q for v, q in zip(p["values"], p["probs"]))
         return p["lam"] + p["shift"]
 
+    def smallest(self):
+        """The smallest size drawn with positive probability."""
+        p = self.params
+        if self.kind == "constant":
+            return p["value"]
+        if self.kind == "uniform_int":
+            return p["lo"]
+        if self.kind == "categorical":
+            return min(v for v, q in zip(p["values"], p["probs"]) if q > 0)
+        return p["shift"]
+
     def pmf_items(self):
         """(value, probability) pairs; a Poisson support stops at mass 1 - ``PMF_TAIL_MASS``."""
         p = self.params

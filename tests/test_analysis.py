@@ -108,7 +108,7 @@ class TestDegreeFractionOracle:
         from hypermod import generate_h
 
         params = self.params()
-        params.steps = 20_000
+        params = params._replace(steps=20_000)
         samples = [[] for _ in range(11)]
         for rep in range(10):
             h, _ = generate_h(params, seed=7000 + rep)

@@ -400,6 +400,9 @@ def test_experiment_fig1_csv_columns(tmp_path):
     ("kind: beta_sweep\n", "p_ve"),
     ("kind: recurrence_check\np_v: 0\np_ve: 0\np_e: 1\n", "p_ve"),
     ("kind: recurrence_check\nreplicas: 0\n", "replicas"),
+    ("kind: beta_sweep\ngamma_values:\np_ve: 1\ny: constant(2)\n", "gamma_values"),
+    ("kind: fig1_bound_vs_detected\nalphas:\n", "alphas"),
+    ("kind: g_vs_avin\nalphas: ,\n", "alphas"),
 ])
 def test_experiment_option_error_exit_code(tmp_path, capsys, text, key):
     cfg = write(tmp_path, text, "exp.cfg")
@@ -440,6 +443,9 @@ def test_experiment_option_error_exit_code(tmp_path, capsys, text, key):
     ("model: h\np_ve: 1\ny: constant(2)\nsteps: -1\n", "steps"),
     ("model: h\np_ve: 1\ny: categorical(0:1.0)\n", "y"),
     ("model: h\np_ve: 1\ny: categorical(2:1.5,3:-0.5)\n", "y"),
+    ("model: h\np_ve: 1\ny: shifted_poisson(1.5,2,9)\n", "y"),
+    # the size cap is 4 at step 100, so no attachment edge could have 5 members
+    ("model: h\np_ve: 1\ny: constant(5)\ncardinality_cap: on\nsteps: 100\n", "cardinality_cap"),
 ])
 def test_model_config_error_names_key(tmp_path, capsys, text, key):
     cfg = write(tmp_path, text, "model.cfg")
@@ -472,6 +478,16 @@ def test_degenerate_model_config_exit_code(tmp_path, capsys, args, text, keys):
     assert all(f"'{key}'" in err for key in keys)
     assert "p_vertex" not in err
     assert not out.exists()
+
+
+def test_steps_override_checked_against_size_cap(tmp_path, capsys):
+    cfg = write(tmp_path, "model: h\np_ve: 1\ny: constant(5)\ncardinality_cap: on\n", "cap.cfg")
+    out = tmp_path / "out.txt"
+    assert run_cli(["generate-h", "--config", cfg, "--steps", "100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: keys 'y', 'cardinality_cap':") and err.count("\n") == 1
+    assert not out.exists()
+    assert run_cli(["generate-h", "--config", cfg, "--steps", "1000", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("command, config", [("generate-h", BA_CONFIG), ("generate-g", G_CONFIG)])

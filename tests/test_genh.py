@@ -202,6 +202,25 @@ def test_invalid_params_rejected_before_stepping():
         generate_h(HParams(0.5, 0.5, [], CONST(2), [], gamma=-1.0, steps=10), seed=0)
 
 
+def test_capped_law_that_no_step_can_draw_is_rejected():
+    # the cap max(2, ceil(t ** 0.25)) is 4 at t = 100, so constant(5) is never drawn
+    with pytest.raises(genh.ParamError) as info:
+        generate_h(HParams(0.0, 1.0, [], CONST(5), [], steps=100, cap_sizes=True), seed=0)
+    assert info.value.fields == ("attach_size", "cap_sizes")
+    uniform = CardinalityDistribution.uniform_int(2, 9)
+    with pytest.raises(genh.ParamError) as info:
+        HParams(0.0, 0.5, [0.5], CONST(1), [uniform], steps=15, cap_sizes=True).validate()
+    assert info.value.fields == ("edge_sizes", "cap_sizes")
+    # a law with positive mass below the cap, a law no event draws, no steps, no cap
+    HParams(0.0, 0.5, [0.5], CONST(2), [uniform], steps=17, cap_sizes=True).validate()
+    HParams(0.5, 0.0, [0.5], CONST(5), [CONST(1)], steps=100, cap_sizes=True).validate()
+    HParams(0.0, 1.0, [], CONST(5), [], steps=0, cap_sizes=True).validate()
+    HParams(0.0, 1.0, [], CONST(5), [], steps=100).validate()
+    skewed = CardinalityDistribution.categorical([2, 5], [0.0, 1.0])
+    with pytest.raises(genh.ParamError):
+        HParams(0.0, 1.0, [], skewed, [], steps=100, cap_sizes=True).validate()
+
+
 def test_attachment_size_one_creates_lone_vertex_edge():
     # size-1 attachment: the new vertex's edge contains nobody else
     params = HParams(0.0, 1.0, [], CONST(1), [], edges_per_event=2, gamma=1.0, steps=50)

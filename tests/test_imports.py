@@ -16,6 +16,11 @@ compute on numpy arrays and load numpy, but no scipy module and not
 and nothing loads ``scipy.optimize``.
 No command but the experiments with replicas loads ``statistics`` (and with
 it ``fractions`` and ``decimal``): a mean is ``math.fsum`` over a length.
+The records (parameters, run stats, fits, bound inputs) are
+``typing.NamedTuple``s, so no command that loads no numpy loads
+``dataclasses`` or ``inspect`` (nor ``inspect``'s ``ast``, ``dis`` and
+``tokenize``); numpy imports ``inspect`` itself, so the commands that load
+numpy are exempt.
 pytest itself loads numpy and scipy, so each case runs in a fresh
 interpreter.
 """
@@ -126,9 +131,9 @@ NO_NUMPY = {"import", "generate-h", "generate-g", "oracle", "predict_g", "bounds
 
 
 def loaded_modules(case, tmp_path):
-    """Names of the scipy modules, and ``numpy``, ``numpy.ma`` and
-    ``statistics`` if they are loaded, after running ``case`` in a fresh
-    interpreter."""
+    """Names of the scipy modules, and ``numpy``, ``numpy.ma``,
+    ``statistics``, ``dataclasses`` and ``inspect`` if they are loaded, after
+    running ``case`` in a fresh interpreter."""
     (tmp_path / "g.cfg").write_text(G_CONFIG)
     (tmp_path / "small.txt").write_text("0 1 2\n1 2\n2 3 4\n3 4\n")
     (tmp_path / "h.cfg").write_text(H_CONFIG)
@@ -138,7 +143,8 @@ def loaded_modules(case, tmp_path):
     code = PRELUDE + CASES[case] + (
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.split('.')[0] == 'scipy'\n"
-        "                        or m in ('numpy', 'numpy.ma', 'statistics'))))\n"
+        "                        or m in ('numpy', 'numpy.ma', 'statistics',\n"
+        "                                 'dataclasses', 'inspect'))))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path)],
@@ -155,8 +161,15 @@ def loaded_modules(case, tmp_path):
                                   "generate-h", "generate-g", "bounds_config", "detect"])
 def test_no_scipy_without_special_functions(case, tmp_path):
     loaded = loaded_modules(case, tmp_path)
-    assert [m for m in loaded if m not in ("numpy", "statistics")] == []
+    assert [m for m in loaded
+            if m not in ("numpy", "statistics", "dataclasses", "inspect")] == []
     assert ("numpy" in loaded) == (case not in NO_NUMPY)
+
+
+@pytest.mark.parametrize("case", sorted(NO_NUMPY))
+def test_numpy_free_commands_load_no_inspect(case, tmp_path):
+    loaded = loaded_modules(case, tmp_path)
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 @pytest.mark.parametrize("case", ["generate-g", "detect", "modularity"])
