@@ -438,8 +438,7 @@ def bound_inputs_from_profile(params):
     A hyperedge lies within community i exactly when its community set is
     the singleton {i}; the touch probabilities are the profile marginals and
     the cardinality mix is the expected hyperedge-size law. The size cap d
-    is the largest size the model can draw (the largest subset size times
-    the largest size of any size law), or None when a size law is unbounded.
+    is that law's largest size, or None when a size law is unbounded.
     """
     profile = params.profile
     pmf = expected_cardinality_size_pmf(params)
@@ -448,7 +447,7 @@ def bound_inputs_from_profile(params):
         p_within=[profile.probability((i,)) for i in range(profile.num_communities)],
         s_touch=community_marginals(profile),
         profile=CardinalityProfile(pmf, sum(ell * p for ell, p in pmf.items())),
-        max_cardinality=None if None in tops else max(map(len, profile.entries)) * max(tops),
+        max_cardinality=None if None in tops else max(pmf),
     )
 
 

@@ -15,6 +15,8 @@ import re
 from contextlib import contextmanager
 from typing import NamedTuple
 
+from . import experiments
+from .analysis import degree_fraction_oracle, predicted_beta
 from .sampling import CardinalityDistribution
 from .genh import HParams, ParamError
 from .geng import GParams, InterCommunityProfile
@@ -30,11 +32,12 @@ _REQUIRED = object()  # the default of a key that must be present
 
 
 class ExperimentSpec(NamedTuple):
-    """A named experiment plus its kind-specific options."""
+    """A named experiment, its options and its runner ``run(options, replicas, seed)``."""
 
     kind: str
     replicas: int
     options: dict
+    run: object
 
 
 def _number(text):
@@ -46,7 +49,8 @@ def _number(text):
 
 
 def _numbers(text):
-    return [_number(tok) for tok in text.split(",") if tok.strip() != ""]
+    """A comma-separated list of finite numbers; a blank value is the empty list."""
+    return [_number(tok) for tok in text.split(",")] if text.strip() else []
 
 
 def parse_distribution(text):
@@ -232,27 +236,31 @@ def _embedded_h_keys(omit=(), **defaults):
             for key, (f, convert, default) in _H_KEYS.items() if key not in omit}
 
 
-def _g_sweep_keys(uniformity, alphas, p):
-    """The options of the two ``g`` sweeps, which differ only in these defaults."""
-    return {
+def _g_sweep_keys(run, uniformity, alphas, p):
+    """The entry of a ``g`` sweep; the two differ only in ``run`` and these defaults."""
+    return run, {
         "uniformity": (int, uniformity), "communities": (int, 47),
         "alphas": (_numbers, alphas), "p": (_number, p),
         "gamma": (_number, 1.0), "target_vertices": (int, 10000),
     }, {}
 
 
-# experiment kind -> (its own options: key -> (converter, default), and the
-# ``h`` keys from which it builds ``options["params"]``)
+# experiment kind -> (its ``experiments`` runner, its own options: key ->
+# (converter, default), and the ``h`` keys from which it builds
+# ``options["params"]``); the one list of experiment kinds
 _EXPERIMENT_KEYS = {
-    "fig1_bound_vs_detected": _g_sweep_keys(2, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], 0.25),
-    "g_vs_avin": _g_sweep_keys(20, [0.21], 0.3),
+    "fig1_bound_vs_detected": _g_sweep_keys(experiments.fig1_bound_vs_detected, 2,
+                                            [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], 0.25),
+    "g_vs_avin": _g_sweep_keys(experiments.g_vs_avin, 20, [0.21], 0.3),
     "beta_sweep": (
+        experiments.beta_sweep,
         {"gamma_values": (_numbers, [0.0, 1.0, 2.0])},
         _embedded_h_keys(omit=("gamma", "cardinality_cap"), steps=100000,
                          y=CardinalityDistribution.constant(2)),
     ),
-    "example_regressions": ({}, {}),
+    "example_regressions": (experiments.example_regressions, {}, {}),
     "recurrence_check": (
+        experiments.recurrence_check,
         {"k_max": (int, 20)},
         _embedded_h_keys(omit=("cardinality_cap",), steps=100000, p_v=0.3, p_ve=0.3,
                          p_e=[0.4], y=CardinalityDistribution.constant(3),
@@ -266,10 +274,10 @@ def _check(ok, key, rule, value):
         raise ConfigError(f"key {key!r}: must be {rule}, got {value}")
 
 
-def _validate_experiment(kind, o):
-    """Range checks of experiment options that no parameter class makes;
-    each error names its key."""
-    if kind in ("fig1_bound_vs_detected", "g_vs_avin"):
+def _validate_experiment(o):
+    """Range checks of the options that an experiment has, each naming its
+    key; an ``h`` process is checked by the call that its run makes."""
+    if "alphas" in o:
         _check(o["uniformity"] >= 1, "uniformity", ">= 1", o["uniformity"])
         _check(o["communities"] >= 1, "communities", ">= 1", o["communities"])
         _check(0.0 < o["p"] <= 1.0, "p", "in (0, 1]", o["p"])
@@ -280,18 +288,17 @@ def _validate_experiment(kind, o):
             _check(0.0 <= alpha <= 1.0, "alphas", "in [0, 1]", alpha)
             # cross-community noise needs a pair of communities to land on
             _check(alpha == 0.0 or o["communities"] >= 2, "alphas", "0 with one community", alpha)
-    elif kind == "beta_sweep":
+    if "gamma_values" in o:
         _check(o["gamma_values"], "gamma_values", "a non-empty list", o["gamma_values"])
         for gamma in o["gamma_values"]:
             _check(gamma >= 0.0, "gamma_values", ">= 0", gamma)
-        _validated(o["params"])
-    elif kind == "recurrence_check":
-        params = _validated(o["params"])
-        m = params.edges_per_event
+        with config_keys(o["params"]):
+            predicted_beta(o["params"])
+    if "k_max" in o:
+        m = o["params"].edges_per_event
         _check(o["k_max"] >= m, "k_max", f">= m ({m})", o["k_max"])
-        if params.p_vertex + params.p_vertex_edge <= 0:
-            raise ConfigError("keys 'p_v', 'p_ve': must not both be 0, "
-                              "since degree fractions are per vertex")
+        with config_keys(o["params"]):
+            degree_fraction_oracle(o["params"], o["k_max"])
 
 
 def parse_experiment_config(path):
@@ -302,11 +309,11 @@ def parse_experiment_config(path):
                           f"expected one of {tuple(_EXPERIMENT_KEYS)}")
     replicas = _take(entries, "replicas", int, default=1)
     _check(replicas >= 1, "replicas", ">= 1", replicas)
-    own_keys, h_keys = _EXPERIMENT_KEYS[kind]
+    run, own_keys, h_keys = _EXPERIMENT_KEYS[kind]
     options = {key: _take(entries, key, convert, default)
                for key, (convert, default) in own_keys.items()}
     if h_keys:
         options["params"] = HParams(**_take_fields(entries, h_keys))
     _reject_unknown(entries, f"experiment {kind}")
-    _validate_experiment(kind, options)
-    return ExperimentSpec(kind=kind, replicas=replicas, options=options)
+    _validate_experiment(options)
+    return ExperimentSpec(kind=kind, replicas=replicas, options=options, run=run)

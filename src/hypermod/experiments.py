@@ -1,10 +1,10 @@
 """Experiment harness: seeded sweeps emitting deterministic CSV rows.
 
-Each experiment kind maps to a function returning ``(header, rows)``.
-Every sweep runs its replicas through ``_sweep``: replicas are
-independent seeded runs, the seed of replica r at point i is
-``seed + 1009 * i + r`` (a one-point sweep uses ``seed + r``), and each
-row averages its replicas in replica order.
+Each kind of ``config._EXPERIMENT_KEYS`` names its function here, which
+returns ``(header, rows)``. Every sweep runs its replicas through
+``_sweep``: replicas are independent seeded runs, the seed of replica r
+at point i is ``seed + 1009 * i + r`` (a one-point sweep uses
+``seed + r``), and each row averages its replicas in replica order.
 """
 
 import math
@@ -194,17 +194,8 @@ def recurrence_check(options, replicas, seed):
     return ["k", "per_vertex_limit", "empirical_mean", "empirical_stderr", "z"], rows
 
 
-_RUNNERS = {
-    "fig1_bound_vs_detected": fig1_bound_vs_detected,
-    "g_vs_avin": g_vs_avin,
-    "beta_sweep": beta_sweep,
-    "example_regressions": example_regressions,
-    "recurrence_check": recurrence_check,
-}
-
-
 def run_experiment(spec, seed, out_path):
     """Run one experiment spec and write its CSV."""
-    header, rows = _RUNNERS[spec.kind](spec.options, spec.replicas, seed)
+    header, rows = spec.run(spec.options, spec.replicas, seed)
     write_csv(out_path, header, rows)
     return header, rows

@@ -124,14 +124,7 @@ class CardinalityDistribution:
 
     def smallest(self):
         """The smallest size drawn with positive probability."""
-        p = self.params
-        if self.kind == "constant":
-            return p["value"]
-        if self.kind == "uniform_int":
-            return p["lo"]
-        if self.kind == "categorical":
-            return min(v for v, q in zip(p["values"], p["probs"]) if q > 0)
-        return p["shift"]
+        return next(v for v, q in self.pmf_items() if q > 0)
 
     def pmf_items(self):
         """(value, probability) pairs; a Poisson support stops at mass 1 - ``PMF_TAIL_MASS``."""

@@ -403,6 +403,13 @@ def test_experiment_fig1_csv_columns(tmp_path):
     ("kind: beta_sweep\ngamma_values:\np_ve: 1\ny: constant(2)\n", "gamma_values"),
     ("kind: fig1_bound_vs_detected\nalphas:\n", "alphas"),
     ("kind: g_vs_avin\nalphas: ,\n", "alphas"),
+    # an empty token between commas is not a number
+    ("kind: beta_sweep\ngamma_values: 0,,1\np_ve: 1\ny: constant(2)\n", "gamma_values"),
+    ("kind: beta_sweep\ngamma_values: 0.1,\np_ve: 1\ny: constant(2)\n", "gamma_values"),
+    ("kind: fig1_bound_vs_detected\nalphas: 0.1,,0.2\n", "alphas"),
+    # a degenerate process is rejected at parse, by the call its run makes
+    ("kind: recurrence_check\np_v: 1\np_ve: 0\np_e: 0\n", "p_ve"),
+    ("kind: beta_sweep\np_v: 1\nsteps: 200\n", "p_ve"),
 ])
 def test_experiment_option_error_exit_code(tmp_path, capsys, text, key):
     cfg = write(tmp_path, text, "exp.cfg")
@@ -446,6 +453,12 @@ def test_experiment_option_error_exit_code(tmp_path, capsys, text, key):
     ("model: h\np_ve: 1\ny: shifted_poisson(1.5,2,9)\n", "y"),
     # the size cap is 4 at step 100, so no attachment edge could have 5 members
     ("model: h\np_ve: 1\ny: constant(5)\ncardinality_cap: on\nsteps: 100\n", "cardinality_cap"),
+    # an empty token between commas is not a number
+    ("model: h\np_ve: 0.5\np_e: 0.25,,0.25\ny: constant(2)\nx: constant(2); constant(3)\n", "p_e"),
+    ("model: h\np_ve: 0.5\np_e: 0.5,\ny: constant(2)\nx: constant(2)\n", "p_e"),
+    ("model: h\np_ve: 0.5\np_e: ,\ny: constant(2)\n", "p_e"),
+    ("model: g\np: 0.5\nmembership: 0.5,,0.5\nx: constant(2); constant(2)\n0: 0.5\n1: 0.5\n",
+     "membership"),
 ])
 def test_model_config_error_names_key(tmp_path, capsys, text, key):
     cfg = write(tmp_path, text, "model.cfg")

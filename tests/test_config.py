@@ -147,9 +147,9 @@ EXPERIMENT_DEFAULTS = {
         "uniformity": 20, "communities": 47, "alphas": [0.21],
         "p": 0.3, "gamma": 1.0, "target_vertices": 10000,
     }),
-    "beta_sweep": ("p_v: 1\n", {
+    "beta_sweep": ("p_ve: 1\n", {
         "gamma_values": [0.0, 1.0, 2.0],
-        "params": HParams(1.0, 0.0, [], CardinalityDistribution.constant(2), [],
+        "params": HParams(0.0, 1.0, [], CardinalityDistribution.constant(2), [],
                           edges_per_event=1, gamma=0.0, steps=100000, cap_sizes=False),
     }),
     "example_regressions": ("", {}),
@@ -189,7 +189,7 @@ def test_readme_documents_every_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
     keys = {*_H_KEYS, *_G_KEYS}
-    for own, h_keys in _EXPERIMENT_KEYS.values():
+    for _, own, h_keys in _EXPERIMENT_KEYS.values():
         keys.update(own, h_keys)
     # a key is documented by an example line "key: ..." or inside a `code` span
     examples = re.findall(r"```[^\n]*\n(.*?)```", section, re.S)

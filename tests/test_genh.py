@@ -219,6 +219,15 @@ def test_capped_law_that_no_step_can_draw_is_rejected():
     skewed = CardinalityDistribution.categorical([2, 5], [0.0, 1.0])
     with pytest.raises(genh.ParamError):
         HParams(0.0, 1.0, [], skewed, [], steps=100, cap_sizes=True).validate()
+    # the smallest size is the first one with positive mass, whatever the law's kind
+    sparse = CardinalityDistribution.categorical([1, 4, 9], [0.0, 0.5, 0.5])
+    assert sparse.smallest() == 4
+    with pytest.raises(genh.ParamError):
+        HParams(0.0, 1.0, [], sparse, [], steps=100, cap_sizes=True).validate()
+    HParams(0.0, 1.0, [], sparse, [], steps=1000, cap_sizes=True).validate()
+    poisson = CardinalityDistribution.shifted_poisson(700.0, 1)
+    assert poisson.smallest() == 1
+    HParams(0.0, 1.0, [], poisson, [], steps=100, cap_sizes=True).validate()
 
 
 def test_attachment_size_one_creates_lone_vertex_edge():

@@ -23,10 +23,16 @@ The records (parameters, run stats, fits, bound inputs) are
 numpy are exempt.
 pytest itself loads numpy and scipy, so each case runs in a fresh
 interpreter.
+
+Since the numpy-free commands need nothing but the standard library, they
+also run under every other ``python3.X`` (X from 10 to 19) on ``PATH``, with
+``PYTHONPATH`` at the package's source, and must print and write the same
+bytes as under the running interpreter.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -182,3 +188,60 @@ def test_h_prediction_loads_special_not_optimize(tmp_path):
     loaded = loaded_modules("predict_h", tmp_path)
     assert "scipy.special" in loaded and "numpy" in loaded
     assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]]
+
+
+# the numpy-free commands whose stdout and files every interpreter must reproduce
+CONTRACT_COMMANDS = [
+    ["generate-h", "--config", "h.cfg", "--seed", "3", "--steps", "2000", "--out", "h.txt",
+     "--stats", "h_stats.csv"],
+    ["generate-g", "--config", "g.cfg", "--seed", "3", "--out", "g.txt",
+     "--communities", "labels.tsv", "--stats", "g_stats.csv"],
+    ["oracle", "--config", "h.cfg", "--kmax", "8", "--out", "oracle.csv"],
+    ["predict", "--config", "g.cfg"],
+    ["bounds", "--config", "g.cfg"],
+    ["experiment", "--config", "exp.cfg", "--seed", "3", "--out", "exp.csv"],
+]
+
+
+def other_interpreters():
+    """Every ``python3.X`` on PATH, X from 10 to 19, that starts and reports
+    another version than the running interpreter's."""
+    found = []
+    for minor in range(10, 20):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        # a pyenv shim of a version that is not installed exits 127
+        probe = subprocess.run([exe, "-c", "import sys; print(sys.version)"],
+                               capture_output=True, text=True, timeout=60, check=False)
+        if probe.returncode == 0 and probe.stdout.strip() != sys.version:
+            found.append(exe)
+    return found
+
+
+def contract_outputs(exe, workdir):
+    """The stdout of each contract command and the bytes of every file they
+    write, when ``exe`` runs them in ``workdir``."""
+    workdir.mkdir()
+    configs = {"h.cfg": H_CONFIG, "g.cfg": G_CONFIG, "exp.cfg": RECURRENCE}
+    for name, text in configs.items():
+        (workdir / name).write_text(text)
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
+    out = {}
+    for argv in CONTRACT_COMMANDS:
+        done = subprocess.run([exe, "-m", "hypermod.cli", *argv], cwd=workdir, env=env,
+                              capture_output=True, timeout=120, check=False)
+        assert done.returncode == 0, (exe, argv, done.stderr)
+        out[" ".join(argv)] = done.stdout
+    out.update((p.name, p.read_bytes()) for p in workdir.iterdir() if p.name not in configs)
+    return out
+
+
+def test_other_interpreters_print_and_write_the_same_bytes(tmp_path):
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.X (X >= 10) on PATH")
+    expected = contract_outputs(sys.executable, tmp_path / "running")
+    assert len(expected) == len(CONTRACT_COMMANDS) + 7  # stdouts and seven files
+    for i, exe in enumerate(interpreters):
+        assert contract_outputs(exe, tmp_path / f"other{i}") == expected, exe
