@@ -14,11 +14,9 @@ from typing import NamedTuple
 
 from .hypergraph import Hypergraph
 from .modularity import Partition
-from .sampling import (CardinalityDistribution, Categorical, PreferentialSelector, make_rng,
-                       uniform_index)
+from .sampling import (PROB_SUM_TOL, CardinalityDistribution, Categorical, PreferentialSelector,
+                       make_rng, uniform_index)
 from .genh import HParams, ParamError, grow
-
-_SUM_TOL = 1e-6
 
 
 class InterCommunityProfile:
@@ -50,8 +48,9 @@ class InterCommunityProfile:
                 raise ValueError(f"subset {key} appears twice")
             cleaned[key] = float(prob)
         total = sum(cleaned.values())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"profile probabilities sum to {total}, expected 1 within {_SUM_TOL}")
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"profile probabilities sum to {total}, "
+                             f"expected 1 within {PROB_SUM_TOL}")
         self.entries = {k: v / total for k, v in sorted(cleaned.items())}
         self._law = Categorical(self.entries.keys(), self.entries.values())
 
@@ -104,7 +103,7 @@ class GParams(NamedTuple):
         if any(m <= 0 for m in self.membership):
             raise ParamError(("membership",), "probabilities must be positive")
         total = sum(self.membership)
-        if abs(total - 1.0) > _SUM_TOL:
+        if abs(total - 1.0) > PROB_SUM_TOL:
             raise ParamError(("membership",), f"probabilities sum to {total}, expected 1")
         if self.profile.num_communities != r:
             raise ParamError(

@@ -20,6 +20,7 @@ EVENT_VERTEX_EDGES = "vertex+edges"
 EVENT_NOTHING = "nothing"
 
 _PROB_TOL = 1e-9
+CAP_TRIES = 100  # the draws ``sample_size`` makes before a capped size falls back to 1
 
 
 class ParamError(ValueError):
@@ -45,7 +46,7 @@ class HParams(NamedTuple):
     ``gamma``         additive smoothing of preferential selection
     ``steps``         number of time steps of ``generate_h``
     ``cap_sizes``     reject sampled sizes >= ``size_cap(t)``; a law that an event
-                      draws must have a size below the cap at t = steps
+                      draws must fall back less often than not at t = steps
     """
 
     p_vertex: float
@@ -80,15 +81,16 @@ class HParams(NamedTuple):
         if self.steps < 0:
             raise ParamError(("steps",), "must be >= 0")
         if self.cap_sizes and self.steps >= 1:
-            # the cap never decreases, so a law at or above its last value is never drawn
+            # the cap never falls, so t = steps is the step where a draw passes most often
             cap = size_cap(self.steps)
             laws = [("attach_size", self.p_vertex_edge, self.attach_size)]
             laws += [("edge_sizes", p, d) for p, d in zip(self.p_edge, self.edge_sizes)]
             for name, p, law in laws:
-                if p > 0 and law.smallest() >= cap:
+                mass = law.mass_below(cap)
+                if p > 0 and (1.0 - mass) ** CAP_TRIES >= 0.5:
                     raise ParamError((name, "cap_sizes"),
-                                     f"every size is >= the cap {cap} at step {self.steps}, "
-                                     "so each edge would fall back to size 1")
+                                     f"mass {mass:.6g} below the cap {cap} at step {self.steps}: "
+                                     f"most edges fall back to size 1 after {CAP_TRIES} tries")
 
 
 class RunStats(NamedTuple):
@@ -124,7 +126,7 @@ def sample_size(dist, t, cap_sizes, rng):
     if not cap_sizes:
         return dist.sample(rng)
     cap = size_cap(t)
-    for _ in range(100):
+    for _ in range(CAP_TRIES):
         z = dist.sample(rng)
         if z < cap:
             return z

@@ -182,7 +182,8 @@ def cardinality_profile(h):
 
 
 def _restricted_growth_strings(n):
-    """All set partitions of range(n) as block-index arrays, in place."""
+    """All set partitions of range(n) as block-index arrays, blocks numbered by
+    first appearance, in place."""
     a = [0] * n
     m = [0] * n
     while True:
@@ -242,7 +243,7 @@ def brute_force_modularity(h):
             if best_q is None or q > best_q:
                 best_q = q
                 best = list(a)
-    return Partition(best).relabeled(), best_q
+    return Partition(best), best_q
 
 
 # a pair key u * n + v must fit in an int64

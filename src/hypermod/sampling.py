@@ -8,7 +8,8 @@ hyperedge sizes, then vertex selections. Draws whose outcome is forced
 consume no randomness (``Categorical`` and ``uniform_index`` hold that
 rule; preferential selection draws even when its outcome is forced), so
 structurally equivalent parameterizations of different models produce
-identical streams.
+identical streams. A size law's constructor checks its arguments and fixes
+its closed forms; only its support walk and its draw read its kind.
 """
 
 import math
@@ -16,10 +17,11 @@ import random
 import sys
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, takewhile
 
 from . import hypergraph
 
+PROB_SUM_TOL = 1e-6  # how far from 1 the probabilities of a finite law may sum
 PMF_TAIL_MASS = 1e-12  # the tail mass that ``pmf_items`` drops from a Poisson law
 # the largest lam whose exp(-lam), where the pmf walk and the sampler start, is normal
 POISSON_MAX_LAM = -math.log(sys.float_info.min)
@@ -58,100 +60,87 @@ def uniform_index(n, rng):
 class CardinalityDistribution:
     """Sampleable distribution over hyperedge sizes (integers >= 1).
 
-    Supported kinds: ``constant``, ``uniform_int``, ``categorical`` and
-    ``shifted_poisson``. The mean is available in closed form for each.
+    Build one with a kind's constructor: ``constant``, ``uniform_int``,
+    ``categorical`` or ``shifted_poisson``. Each checks its arguments and
+    fixes the law's mean and largest size in closed form, so only the
+    support walk (shared by ``pmf_items`` and ``mass_below``) and
+    ``sample`` read the kind.
     """
 
-    def __init__(self, kind, **params):
-        self.kind = kind
-        self.params = params
-        if kind == "constant":
-            v = params["value"]
-            if v < 1:
-                raise ValueError("constant size must be >= 1")
-        elif kind == "uniform_int":
-            lo, hi = params["lo"], params["hi"]
-            if lo < 1 or hi < lo:
-                raise ValueError(f"uniform_int needs 1 <= lo <= hi, got ({lo}, {hi})")
-        elif kind == "categorical":
-            values, probs = params["values"], params["probs"]
-            if len(values) != len(probs) or not values:
-                raise ValueError("categorical needs matching non-empty values/probs")
-            if any(v < 1 for v in values):
-                raise ValueError("categorical values must be >= 1")
-            if any(p < 0 for p in probs):
-                raise ValueError("categorical probabilities must be non-negative")
-            total = sum(probs)
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"categorical probabilities sum to {total}, expected 1")
-            probs = [p / total for p in probs]
-            self.params = {"values": list(values), "probs": probs}
-            self._law = Categorical(values, probs)
-        elif kind == "shifted_poisson":
-            lam, shift = params["lam"], params["shift"]
-            if lam < 0 or shift < 1:
-                raise ValueError("shifted_poisson needs lam >= 0 and shift >= 1")
-            if lam > POISSON_MAX_LAM:
-                raise ValueError(f"shifted_poisson needs lam <= {POISSON_MAX_LAM:.6g}, got {lam}")
-        else:
-            raise ValueError(f"unknown distribution kind {kind!r}")
+    def __init__(self, kind, params, mean, max_value, law=None):
+        self.kind, self.params, self._law = kind, params, law  # law: a categorical's draw
+        self._mean, self._max_value = mean, max_value
 
     @classmethod
     def constant(cls, value):
-        return cls("constant", value=value)
+        if value < 1:
+            raise ValueError("constant size must be >= 1")
+        return cls("constant", {"value": value}, float(value), value)
 
     @classmethod
     def uniform_int(cls, lo, hi):
-        return cls("uniform_int", lo=lo, hi=hi)
+        if lo < 1 or hi < lo:
+            raise ValueError(f"uniform_int needs 1 <= lo <= hi, got ({lo}, {hi})")
+        return cls("uniform_int", {"lo": lo, "hi": hi}, (lo + hi) / 2.0, hi)
 
     @classmethod
     def categorical(cls, values, probs):
-        return cls("categorical", values=values, probs=probs)
+        if len(values) != len(probs) or not values:
+            raise ValueError("categorical needs matching non-empty values/probs")
+        if any(v < 1 for v in values):
+            raise ValueError("categorical values must be >= 1")
+        if any(p < 0 for p in probs):
+            raise ValueError("categorical probabilities must be non-negative")
+        total = sum(probs)
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"categorical probabilities sum to {total}, expected 1")
+        values, probs = list(values), [p / total for p in probs]
+        return cls("categorical", {"values": values, "probs": probs},
+                   sum(v * q for v, q in zip(values, probs)), max(values),
+                   Categorical(values, probs))
 
     @classmethod
     def shifted_poisson(cls, lam, shift=1):
-        return cls("shifted_poisson", lam=lam, shift=shift)
+        if lam < 0 or shift < 1:
+            raise ValueError("shifted_poisson needs lam >= 0 and shift >= 1")
+        if not lam <= POISSON_MAX_LAM:
+            raise ValueError(f"shifted_poisson needs lam <= {POISSON_MAX_LAM:.6g}, got {lam}")
+        return cls("shifted_poisson", {"lam": lam, "shift": shift}, lam + shift,
+                   None if lam > 0 else shift)
 
     def mean(self):
-        p = self.params
-        if self.kind == "constant":
-            return float(p["value"])
-        if self.kind == "uniform_int":
-            return (p["lo"] + p["hi"]) / 2.0
-        if self.kind == "categorical":
-            return sum(v * q for v, q in zip(p["values"], p["probs"]))
-        return p["lam"] + p["shift"]
-
-    def smallest(self):
-        """The smallest size drawn with positive probability."""
-        return next(v for v, q in self.pmf_items() if q > 0)
-
-    def pmf_items(self):
-        """(value, probability) pairs; a Poisson support stops at mass 1 - ``PMF_TAIL_MASS``."""
-        p = self.params
-        if self.kind == "constant":
-            return [(p["value"], 1.0)]
-        if self.kind == "uniform_int":
-            n = p["hi"] - p["lo"] + 1
-            return [(v, 1.0 / n) for v in range(p["lo"], p["hi"] + 1)]
-        if self.kind == "categorical":
-            return sorted(zip(p["values"], p["probs"]))
-        lam, shift = p["lam"], p["shift"]
-        items = []
-        q = math.exp(-lam)
-        k, acc = 0, 0.0
-        while acc < 1.0 - PMF_TAIL_MASS:
-            items.append((k + shift, q))
-            acc += q
-            k += 1
-            q *= lam / k
-        return items
+        return self._mean
 
     def max_value(self):
         """The support's largest value; None for a Poisson law with ``lam > 0``."""
-        if self.kind == "shifted_poisson" and self.params["lam"] > 0:
-            return None
-        return max(v for v, _ in self.pmf_items())
+        return self._max_value
+
+    def _support(self):
+        """(value, probability) pairs in increasing value, walked lazily."""
+        p = self.params
+        if self.kind == "constant":
+            yield p["value"], 1.0
+        elif self.kind == "uniform_int":
+            n = p["hi"] - p["lo"] + 1
+            yield from ((v, 1.0 / n) for v in range(p["lo"], p["hi"] + 1))
+        elif self.kind == "categorical":
+            yield from sorted(zip(p["values"], p["probs"]))
+        else:
+            lam, shift = p["lam"], p["shift"]
+            q, k, acc = math.exp(-lam), 0, 0.0
+            while acc < 1.0 - PMF_TAIL_MASS:
+                yield k + shift, q
+                acc += q
+                k += 1
+                q *= lam / k
+
+    def pmf_items(self):
+        """(value, probability) pairs; a Poisson support stops at mass 1 - ``PMF_TAIL_MASS``."""
+        return list(self._support())
+
+    def mass_below(self, cap):
+        """The mass below ``cap``, walked up to the cap; ``fsum``, so every CPython agrees."""
+        return math.fsum(q for _, q in takewhile(lambda item: item[0] < cap, self._support()))
 
     def sample(self, rng):
         p = self.params

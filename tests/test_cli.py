@@ -453,6 +453,9 @@ def test_experiment_option_error_exit_code(tmp_path, capsys, text, key):
     ("model: h\np_ve: 1\ny: shifted_poisson(1.5,2,9)\n", "y"),
     # the size cap is 4 at step 100, so no attachment edge could have 5 members
     ("model: h\np_ve: 1\ny: constant(5)\ncardinality_cap: on\nsteps: 100\n", "cardinality_cap"),
+    # and almost every shifted_poisson(700,1) draw is above it (both keys are named)
+    ("model: h\np_ve: 1\ny: shifted_poisson(700,1)\ncardinality_cap: on\nsteps: 100\n",
+     "y', 'cardinality_cap"),
     # an empty token between commas is not a number
     ("model: h\np_ve: 0.5\np_e: 0.25,,0.25\ny: constant(2)\nx: constant(2); constant(3)\n", "p_e"),
     ("model: h\np_ve: 0.5\np_e: 0.5,\ny: constant(2)\nx: constant(2)\n", "p_e"),

@@ -221,13 +221,29 @@ def test_capped_law_that_no_step_can_draw_is_rejected():
         HParams(0.0, 1.0, [], skewed, [], steps=100, cap_sizes=True).validate()
     # the smallest size is the first one with positive mass, whatever the law's kind
     sparse = CardinalityDistribution.categorical([1, 4, 9], [0.0, 0.5, 0.5])
-    assert sparse.smallest() == 4
     with pytest.raises(genh.ParamError):
         HParams(0.0, 1.0, [], sparse, [], steps=100, cap_sizes=True).validate()
     HParams(0.0, 1.0, [], sparse, [], steps=1000, cap_sizes=True).validate()
     poisson = CardinalityDistribution.shifted_poisson(700.0, 1)
-    assert poisson.smallest() == 1
-    HParams(0.0, 1.0, [], poisson, [], steps=100, cap_sizes=True).validate()
+    with pytest.raises(genh.ParamError):
+        HParams(0.0, 1.0, [], poisson, [], steps=100, cap_sizes=True).validate()
+
+
+def test_capped_law_is_checked_by_its_mass_below_the_cap():
+    # at t = 100 the cap is 4; 100 draws all fall back with probability (1 - m) ** 100
+    assert genh.CAP_TRIES == 100
+    rare = CardinalityDistribution.categorical([1, 9], [0.005, 0.995])  # 0.995 ** 100 = 0.61
+    with pytest.raises(genh.ParamError) as info:
+        HParams(0.0, 1.0, [], rare, [], steps=100, cap_sizes=True).validate()
+    assert info.value.fields == ("attach_size", "cap_sizes")
+    assert "mass 0.005 below the cap 4 at step 100" in str(info.value)
+    enough = CardinalityDistribution.categorical([1, 9], [0.01, 0.99])  # 0.99 ** 100 = 0.37
+    HParams(0.0, 1.0, [], enough, [], steps=100, cap_sizes=True).validate()
+    # the same law on an edges-only event, and a law that no event draws
+    with pytest.raises(genh.ParamError) as info:
+        HParams(0.0, 0.5, [0.5], CONST(2), [rare], steps=100, cap_sizes=True).validate()
+    assert info.value.fields == ("edge_sizes", "cap_sizes")
+    HParams(0.5, 0.0, [0.5], rare, [CONST(2)], steps=100, cap_sizes=True).validate()
 
 
 def test_attachment_size_one_creates_lone_vertex_edge():

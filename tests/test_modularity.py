@@ -157,6 +157,13 @@ class TestBruteForce:
         assert q == pytest.approx(0.5)
         assert part == Partition([0, 0, 0, 1, 1, 1])
 
+    def test_partition_is_already_numbered_by_first_appearance(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            part, _ = brute_force_modularity(random_hypergraph(rng, max_vertices=7))
+            canonical = part.relabeled()
+            assert (part.block_of, part.num_blocks) == (canonical.block_of, canonical.num_blocks)
+
     def test_single_hyperedge_maximum_is_zero(self):
         h = build(3, [[0, 1, 2]])
         _, q = brute_force_modularity(h)

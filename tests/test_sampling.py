@@ -43,6 +43,58 @@ class TestCardinalityDistribution:
         assert CardinalityDistribution.shifted_poisson(0.0, 3).max_value() == 3
         assert CardinalityDistribution.shifted_poisson(1.5, 2).max_value() is None
 
+    def test_each_kind_keeps_its_closed_forms_support_and_repr(self):
+        C = CardinalityDistribution
+        cases = [
+            (C.constant(3), 3.0, 3, [(3, 1.0)], "constant(value=3)"),
+            (C.uniform_int(2, 5), 3.5, 5, [(2, 0.25), (3, 0.25), (4, 0.25), (5, 0.25)],
+             "uniform_int(lo=2, hi=5)"),
+            # listed out of order: the mean sums in the given order, the support is sorted
+            (C.categorical([5, 2], [0.3, 0.7]), 2.9, 5, [(2, 0.7), (5, 0.3)],
+             "categorical(values=[5, 2], probs=[0.3, 0.7])"),
+            (C.categorical([1, 4, 9], [0.0, 0.5, 0.5]), 6.5, 9, [(1, 0.0), (4, 0.5), (9, 0.5)],
+             "categorical(values=[1, 4, 9], probs=[0.0, 0.5, 0.5])"),
+            (C.shifted_poisson(0.0, 3), 3.0, 3, [(3, 1.0)], "shifted_poisson(lam=0.0, shift=3)"),
+        ]
+        for law, mean, top, pmf, text in cases:
+            assert law.mean() == mean
+            assert law.max_value() == top
+            assert law.pmf_items() == pmf
+            assert repr(law) == "CardinalityDistribution." + text
+        poisson = C.shifted_poisson(1.5, 2)
+        assert poisson.mean() == 3.5 and poisson.max_value() is None
+        pmf = poisson.pmf_items()
+        assert len(pmf) == 17 and [v for v, _ in pmf] == list(range(2, 19))
+        assert pmf[:2] == [(2, 0.22313016014842982), (3, 0.33469524022264474)]
+        assert pmf[-1] == (18, 7.0048498129357185e-12)
+        assert repr(poisson) == "CardinalityDistribution.shifted_poisson(lam=1.5, shift=2)"
+        with pytest.raises(ValueError, match="lam <= 708.396"):
+            C.shifted_poisson(math.nan, 1)  # nan would fail every closed form
+
+    def test_every_kind_draws_through_the_one_sample_method(self):
+        for law in (CardinalityDistribution.constant(2), CardinalityDistribution.uniform_int(1, 3),
+                    CardinalityDistribution.categorical([2, 3], [0.5, 0.5]),
+                    CardinalityDistribution.shifted_poisson(1.0, 1)):
+            assert law.sample.__func__ is CardinalityDistribution.sample
+
+    def test_capped_wide_law_is_checked_without_its_support(self, monkeypatch):
+        walk, read = CardinalityDistribution._support, []
+
+        def counted(law):
+            for item in walk(law):
+                read.append(item)
+                assert len(read) <= 100, "the check reads the support past the cap"
+                yield item
+
+        monkeypatch.setattr(CardinalityDistribution, "_support", counted)
+        wide = CardinalityDistribution.uniform_int(1, 10**9)
+        assert wide.mean() == 500000000.5 and wide.max_value() == 10**9
+        assert wide.mass_below(5) == pytest.approx(4e-9, rel=1e-12)
+        # the cap is 4 at t = 100: the mass 3e-9 below it is far too little
+        with pytest.raises(ValueError, match="cap_sizes"):
+            HParams(0.0, 1.0, [], wide, [], steps=100, cap_sizes=True).validate()
+        assert len(read) == 5 + 4
+
     def test_sample_frequencies_match_categorical(self):
         rng = make_rng(7)
         cat = CardinalityDistribution.categorical([2, 5], [0.3, 0.7])
